@@ -1,18 +1,12 @@
-"""Block-batched I/O sweep: block size vs the line-at-a-time baseline.
+"""Block-batched I/O sweep: block size and spill encoding vs the text baseline.
 
-Sorts the same dataset through the real-file spill backend at several
-``--block-records`` settings and once through the *line-at-a-time
-baseline* — a :class:`~repro.core.records.CallableFormat` wrapping the
-seed's per-record ``str``/``int`` callables, which forces one Python-
-level decode call per line and one encode call per record, exactly the
-hot loop this PR's block codecs replaced.  Results (wall seconds,
-speedup vs the baseline, sha256 output digests — all settings must
-produce byte-identical output) go to ``BENCH_blockio.json`` at the
+Sorts the same dataset through the real-file spill backend once as the
+*text baseline* — the plain :data:`~repro.core.records.INT` format at
+the default 4096-record block — then at several ``--block-records``
+settings, in text and in the binary spill encoding.  Results (wall
+seconds, speedup vs the baseline, sha256 output digests — all settings
+must produce byte-identical output) go to ``BENCH_blockio.json`` at the
 repo root.
-
-A second sweep times the three real-file merge reading strategies
-(naive / forecasting / double_buffering) at the default block size, so
-the JSON records how prefetching behaves on this machine's storage.
 
 Usage::
 
@@ -38,7 +32,6 @@ from repro.core.config import GeneratorSpec
 from repro.core.records import (
     INT,
     BinaryRecordFormat,
-    CallableFormat,
     binary_format,
     resolve_format,
 )
@@ -46,9 +39,6 @@ from repro.engine.planner import SortEngine
 from repro.workloads.generators import random_input
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_blockio.json"
-
-#: The seed's per-record serialisation, as top-level callables.
-LINE_AT_A_TIME = CallableFormat(str, int)
 
 #: Best block-batched wall (block_records=16384, 500k records) recorded
 #: by the PR 3 run of this script on this container — the committed
@@ -65,7 +55,6 @@ def run_once(
     algorithm: str,
     fan_in: int,
     block_records: int,
-    reading: str,
     record_format,
     seed: int,
 ) -> dict:
@@ -76,7 +65,6 @@ def run_once(
         fan_in=fan_in,
         buffer_records=block_records,
         block_records=block_records,
-        reading=reading,
     )
     source = random_input(records, seed=seed)
     normalize_wall = None
@@ -99,12 +87,9 @@ def run_once(
         count += 1
     wall = time.perf_counter() - started
     assert count == records, f"lost records: {count} != {records}"
-    stats = engine.reading_stats
     row = {
         "wall_seconds": round(wall, 3),
         "merge_passes": engine.merge_passes,
-        "block_reads": stats.block_reads if stats else 0,
-        "prefetch_hits": stats.prefetch_hits if stats else 0,
         "sha256": digest.hexdigest(),
     }
     if normalize_wall is not None:
@@ -136,7 +121,6 @@ def delimited_once(
         fan_in=fan_in,
         buffer_records=block_records,
         block_records=block_records,
-        reading="naive",
     )
     rows = [
         f"{value},p{index:07d}"
@@ -173,8 +157,8 @@ def merge_only(
     """Time just the k-way merge of pre-written sorted run files.
 
     Isolates the hot merge loop (read blocks -> heap -> the consumer
-    just hashes), where the block codecs replaced one decode call per
-    record and the binary keys replaced the Python-level comparison.
+    just hashes), where the binary keys replace the Python-level
+    comparison.
     Runs are written and merged through the spill primitives directly
     so every mode — including the binary framing, which
     ``merge_files`` deliberately refuses for caller-owned text files —
@@ -238,45 +222,38 @@ def main(argv: Optional[List[str]] = None) -> int:
         fan_in=args.fan_in, seed=args.seed,
     )
 
-    print(f"baseline: line-at-a-time decode/encode ...", flush=True)
-    baseline = run_once(
-        **common, block_records=4096, reading="naive",
-        record_format=LINE_AT_A_TIME,
-    )
-    baseline["mode"] = "line_at_a_time"
+    print("baseline: text int format, 4096-record blocks ...", flush=True)
+    baseline = run_once(**common, block_records=4096, record_format=INT)
+    baseline["mode"] = "text_baseline"
     print(f"  wall={baseline['wall_seconds']}s", flush=True)
 
     block_rows = []
     for block in args.blocks:
         print(f"block_records={block}: block-batched sort ...", flush=True)
-        row = run_once(
-            **common, block_records=block, reading="naive",
-            record_format=INT,
-        )
+        row = run_once(**common, block_records=block, record_format=INT)
         row["mode"] = "block"
         row["block_records"] = block
-        row["speedup_vs_line_at_a_time"] = round(
+        row["speedup_vs_text_baseline"] = round(
             baseline["wall_seconds"] / row["wall_seconds"], 3
         )
         block_rows.append(row)
         print(f"  wall={row['wall_seconds']}s "
-              f"(x{row['speedup_vs_line_at_a_time']})", flush=True)
+              f"(x{row['speedup_vs_text_baseline']})", flush=True)
 
     binary_rows = []
     for block in args.blocks:
         print(f"block_records={block}: binary-spill sort ...", flush=True)
         row = run_once(
-            **common, block_records=block, reading="naive",
-            record_format=binary_format(INT),
+            **common, block_records=block, record_format=binary_format(INT),
         )
         row["mode"] = "binary"
         row["block_records"] = block
-        row["speedup_vs_line_at_a_time"] = round(
+        row["speedup_vs_text_baseline"] = round(
             baseline["wall_seconds"] / row["wall_seconds"], 3
         )
         binary_rows.append(row)
         print(f"  wall={row['wall_seconds']}s "
-              f"(x{row['speedup_vs_line_at_a_time']})", flush=True)
+              f"(x{row['speedup_vs_text_baseline']})", flush=True)
 
     csv_format = resolve_format("csv", key=0)
     delimited_rows = {}
@@ -299,56 +276,33 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"  binary x{delimited_speedup} vs text on delimited keys",
           flush=True)
 
-    reading_rows = []
-    for reading in ("naive", "forecasting", "double_buffering"):
-        print(f"reading={reading}: merge strategy sweep ...", flush=True)
-        row = run_once(
-            **common, block_records=4096, reading=reading, record_format=INT,
-        )
-        row["mode"] = "reading"
-        row["reading"] = reading
-        reading_rows.append(row)
-        print(f"  wall={row['wall_seconds']}s", flush=True)
-
-    print("merge-only: line-at-a-time vs block vs binary decode ...",
-          flush=True)
-    merge_line = merge_only(
-        args.records, args.fan_in, 4096, LINE_AT_A_TIME, args.seed
-    )
-    merge_block = merge_only(args.records, args.fan_in, 4096, INT, args.seed)
+    print("merge-only: text vs binary decode ...", flush=True)
+    merge_text = merge_only(args.records, args.fan_in, 4096, INT, args.seed)
     merge_binary = merge_only(
         args.records, args.fan_in, 4096, binary_format(INT), args.seed
     )
-    merge_speedup = round(
-        merge_line["wall_seconds"] / merge_block["wall_seconds"], 3
-    )
     merge_binary_speedup = round(
-        merge_line["wall_seconds"] / merge_binary["wall_seconds"], 3
+        merge_text["wall_seconds"] / merge_binary["wall_seconds"], 3
     )
     print(
-        f"  line={merge_line['wall_seconds']}s "
-        f"block={merge_block['wall_seconds']}s (x{merge_speedup}) "
+        f"  text={merge_text['wall_seconds']}s "
         f"binary={merge_binary['wall_seconds']}s "
         f"(x{merge_binary_speedup})",
         flush=True,
     )
 
-    digests = {
-        r["sha256"]
-        for r in [baseline, *block_rows, *binary_rows, *reading_rows]
-    }
+    digests = {r["sha256"] for r in [baseline, *block_rows, *binary_rows]}
     identical = (
         len(digests) == 1
-        and merge_line["sha256"] == merge_block["sha256"]
-        == merge_binary["sha256"]
+        and merge_text["sha256"] == merge_binary["sha256"]
         and delimited_rows["text"]["sha256"]
         == delimited_rows["binary"]["sha256"]
     )
     best = max(
-        r["speedup_vs_line_at_a_time"] for r in block_rows
+        r["speedup_vs_text_baseline"] for r in block_rows
     )
     best_binary = max(
-        r["speedup_vs_line_at_a_time"] for r in binary_rows
+        r["speedup_vs_text_baseline"] for r in binary_rows
     )
 
     vs_pr3 = None
@@ -366,27 +320,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         }
 
     payload = {
-        "benchmark": "block-batched spill I/O vs line-at-a-time baseline",
+        "benchmark": "block-batched spill I/O vs the text int baseline",
         **common,
         "cpu_count": os.cpu_count(),
         "python": sys.version.split()[0],
         "output_identical_across_settings": identical,
-        "best_block_speedup_vs_line_at_a_time": best,
-        "best_binary_speedup_vs_line_at_a_time": best_binary,
-        "merge_only_speedup_vs_line_at_a_time": merge_speedup,
-        "merge_only_binary_speedup_vs_line_at_a_time": merge_binary_speedup,
+        "best_block_speedup_vs_text_baseline": best,
+        "best_binary_speedup_vs_text_baseline": best_binary,
+        "merge_only_binary_speedup_vs_text": merge_binary_speedup,
         "delimited_binary_speedup_vs_text": delimited_speedup,
         "end_to_end_vs_pr3_block_batched": vs_pr3,
-        "line_at_a_time_baseline": baseline,
+        "text_baseline": baseline,
         "block_sweep": block_rows,
         "binary_sweep": binary_rows,
         "delimited": delimited_rows,
-        "reading_sweep": reading_rows,
-        "merge_only": {
-            "line_at_a_time": merge_line,
-            "block": merge_block,
-            "binary": merge_binary,
-        },
+        "merge_only": {"text": merge_text, "binary": merge_binary},
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")

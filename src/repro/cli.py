@@ -15,9 +15,9 @@ Examples::
     python -m repro.cli sort --format str words.txt
     python -m repro.cli sort --format csv --key 2 events.csv -o by_time.csv
 
-    # choose how the final merge reads its run files (default: the
-    # planner picks; see DESIGN.md §9)
-    python -m repro.cli sort --reading double_buffering --report in.txt
+    # force many small block reads per run during the merge, and
+    # print the plan, phase timings and spill/merge instrumentation
+    python -m repro.cli sort --merge-buffer 64 --report in.txt
 
     # crash-safe sorting: checksummed spill blocks, journaled progress
     # under out.txt.sortwork, restartable after any failure with the
@@ -78,9 +78,8 @@ from repro.engine.block_io import (
     iter_records,
 )
 from repro.engine.errors import SortError
-from repro.engine.merge_reading import READING_STRATEGIES
 from repro.engine.resilience import JOURNAL_NAME, atomic_output
-from repro.engine.planner import AUTO_READING, SortEngine, spec_for_format
+from repro.engine.planner import SortEngine, spec_for_format
 from repro.engine.spill_codec import AUTO_CODEC, SPILL_CODECS
 from repro.experiments import EXPERIMENTS
 from repro.merge.merge_tree import DEFAULT_FAN_IN
@@ -221,7 +220,6 @@ def _engine_for(
         fan_in=args.fan_in,
         buffer_records=args.merge_buffer,
         block_records=args.block_records,
-        reading=args.reading,
         checksum=args.checksum,
         spill_codec=getattr(args, "spill_codec", "none"),
         work_dir=work_dir,
@@ -308,12 +306,7 @@ def _print_sort_report(engine: SortEngine, verbose: bool) -> None:
                 f"merge_wall={worker.merge_phase.wall_time:.3f}s",
                 file=sys.stderr,
             )
-    print(
-        f"  spill  passes={engine.merge_passes}  "
-        f"peak_buffered={engine.max_resident_records} records  "
-        f"readers<={engine.max_open_readers}",
-        file=sys.stderr,
-    )
+    _engine_detail_lines(engine, "spill")
     if engine.work_dir is not None:
         print(
             f"  resume runs_reused={engine.runs_reused}  "
@@ -321,18 +314,10 @@ def _print_sort_report(engine: SortEngine, verbose: bool) -> None:
             f"shards_reused={engine.shards_reused}",
             file=sys.stderr,
         )
-    stats = engine.reading_stats
-    if stats is not None:
-        print(
-            f"  read   strategy={stats.strategy}  "
-            f"blocks={stats.block_reads}  "
-            f"prefetched={stats.prefetches}  hits={stats.prefetch_hits}",
-            file=sys.stderr,
-        )
 
 
 def _engine_detail_lines(engine: Optional[SortEngine], label: str) -> None:
-    """The spill/read instrumentation lines of one engine's last sort.
+    """The spill instrumentation line of one engine's last sort.
 
     In-memory sorts have no spill structure to show; ``merge_files``
     sets no plan at all but always merges, so a missing plan prints.
@@ -347,20 +332,12 @@ def _engine_detail_lines(engine: Optional[SortEngine], label: str) -> None:
         f"readers<={engine.max_open_readers}",
         file=sys.stderr,
     )
-    stats = engine.reading_stats
-    if stats is not None:
-        print(
-            f"  read   strategy={stats.strategy}  "
-            f"blocks={stats.block_reads}  "
-            f"prefetched={stats.prefetches}  hits={stats.prefetch_hits}",
-            file=sys.stderr,
-        )
 
 
 def _print_operator_report(op, engines, verbose: bool) -> None:
     """Unified ``--report`` rendering for the operator subcommands.
 
-    ``engines`` lists ``(label, engine)`` pairs whose spill/read
+    ``engines`` lists ``(label, engine)`` pairs whose spill
     instrumentation should print in verbose mode (empty for the
     top-k heap path, two entries for the join).
     """
@@ -993,12 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="records encoded/decoded per block on the "
                             "input and output streams "
                             f"(default {DEFAULT_BLOCK_RECORDS})")
-        p.add_argument("--reading",
-                       choices=(AUTO_READING,) + READING_STRATEGIES,
-                       default=AUTO_READING,
-                       help="final-merge reading strategy over the run "
-                            "files; 'auto' lets the planner choose "
-                            "(default auto)")
         if parallel:
             p.add_argument("--workers", type=_positive_int, default=1,
                            help="partition the input and sort the shards "

@@ -24,7 +24,6 @@ from repro.core.records import (
     FORMAT_NAMES,
     INT,
     STR,
-    CallableFormat,
     DelimitedFormat,
     RecordFormat,
     resolve_format,
@@ -37,7 +36,6 @@ __all__ = [
     "AdaptiveInput",
     "BUFFER_FRACTIONS",
     "BUFFER_SETUPS",
-    "CallableFormat",
     "DelimitedFormat",
     "FLOAT",
     "FORMAT_NAMES",

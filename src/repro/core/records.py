@@ -34,7 +34,6 @@ __all__ = [
     "FloatRecord",
     "StrFormat",
     "DelimitedFormat",
-    "CallableFormat",
     "BinaryRecordFormat",
     "KeyOnlyRecord",
     "INT",
@@ -411,37 +410,6 @@ class DelimitedFormat(RecordFormat):
         # The name attribute is derived; reconstruct from the inputs so
         # instances stay picklable for spawn workers.
         return (DelimitedFormat, (self.delimiter, self.key_columns))
-
-
-class CallableFormat(RecordFormat):
-    """Adapter for the legacy ``encode``/``decode`` callable pair.
-
-    Keeps :class:`~repro.sort.spill.FileSpillSort`'s original
-    constructor contract working; block operations fall back to one
-    call per record, which is exactly the seed behaviour (and the
-    line-at-a-time baseline ``benchmarks/bench_block_io.py`` measures).
-    """
-
-    name = "callable"
-    numeric = False
-    blank_input_skippable = True  # the seed CLI's integer tolerance
-
-    def __init__(
-        self,
-        encode: Callable[[Any], str],
-        decode: Callable[[str], Any],
-    ) -> None:
-        self._encode = encode
-        self._decode = decode
-
-    def decode(self, text: str) -> Any:
-        return self._decode(text)
-
-    def encode(self, record: Any) -> str:
-        return self._encode(record)
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return (CallableFormat, (self._encode, self._decode))
 
 
 def _key_normalizer(fmt: "RecordFormat") -> Callable[[Any], bytes]:

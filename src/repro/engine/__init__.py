@@ -2,11 +2,11 @@
 
 ``repro.engine`` is the layer every sort backend sits behind
 (DESIGN.md §9): :mod:`~repro.engine.block_io` moves blocks of records
-between files and memory, :mod:`~repro.engine.merge_reading` ports the
-paper's §3.7.2 merge reading strategies to real file handles,
-:mod:`~repro.engine.planner` picks a backend (in-memory, spill,
-partitioned-parallel) and exposes the :class:`~repro.engine.planner.
-SortEngine` facade the CLI and experiments drive, and
+between files and memory, :mod:`~repro.engine.merge_reading` is the
+final merge pass's reader handle, :mod:`~repro.engine.planner` picks a
+backend (in-memory, spill, partitioned-parallel) and exposes the
+:class:`~repro.engine.planner.SortEngine` facade the CLI and
+experiments drive, and
 :mod:`~repro.engine.resilience` makes the spilling backends
 crash-safe and resumable (DESIGN.md §11).
 """
@@ -20,7 +20,6 @@ from repro.engine.block_io import (
     write_sequence,
 )
 from repro.engine.errors import CorruptBlockError, JournalError, SortError
-from repro.engine.merge_reading import READING_STRATEGIES, open_reading
 
 #: Names resolved lazily: the planner imports the sort backends, which
 #: themselves import repro.engine.block_io — an eager import here would
@@ -44,8 +43,6 @@ __all__ = [
     "SortError",
     "read_blocks",
     "write_sequence",
-    "READING_STRATEGIES",
-    "open_reading",
     "SortEngine",
     "SortPlan",
     "plan_sort",

@@ -7,8 +7,8 @@ on the way back in.  This module batches both directions through
 moves ``block_records`` records per Python-level file operation — the
 built-in formats decode a whole block with one C-level ``map``.
 
-``benchmarks/bench_block_io.py`` measures the difference against the
-line-at-a-time baseline and records it in ``BENCH_blockio.json``.
+``benchmarks/bench_block_io.py`` sweeps the block size and records the
+results in ``BENCH_blockio.json``.
 
 Two resilience hooks live here as well (DESIGN.md §11):
 

@@ -3,25 +3,27 @@
 One entry point for every sorting backend in the repository.  Given a
 memory budget, a worker count, a :class:`~repro.core.records.
 RecordFormat` and (when known) the input size, :func:`plan_sort` picks
+an **execution mode** — ``in_memory`` (the whole input fits in the sort
+budget), ``spill`` (:class:`~repro.sort.spill.FileSpillSort`), or
+``parallel`` (:class:`~repro.sort.parallel.PartitionedSort`) — and,
+under ``codec="auto"``, the spill codec (DESIGN.md §15).
 
-* an **execution mode** — ``in_memory`` (the whole input fits in the
-  sort budget), ``spill`` (:class:`~repro.sort.spill.FileSpillSort`),
-  or ``parallel`` (:class:`~repro.sort.parallel.PartitionedSort`) —
-  and
-* a **merge reading strategy** for the final real-file k-way merge
-  (:mod:`repro.engine.merge_reading`), trading prefetch overhead
-  against read stalls.
-
-The decision table (also in DESIGN.md §9):
+The decision table (also in DESIGN.md §9.4):
 
 ========================  ===========  ==========================
-condition                 mode         final-merge reading (auto)
+condition                 mode         merge passes
 ========================  ===========  ==========================
-``workers > 1``           parallel     forecasting
-``n <= memory``           in_memory    — (no merge happens)
-``n <= memory * fan_in``  spill        naive (single warm pass)
-otherwise / n unknown     spill        forecasting
+``workers > 1``           parallel     per shard, then the parent
+``n <= memory``           in_memory    none
+``n <= memory * fan_in``  spill        one (single warm pass)
+otherwise / n unknown     spill        intermediate, then final
 ========================  ===========  ==========================
+
+Every real-file merge pass reads its runs synchronously through one
+block reader (DESIGN.md §9.3).  BENCH_blockio.json measured the
+paper's §3.7.2 prefetching strategies no faster than that reader
+(500k ints, 1 CPU), so they live on only in the simulator
+(:mod:`repro.merge.reading`).
 
 When the input size is unknown the engine *probes*: it buffers up to
 ``memory + 1`` records before deciding, so tiny inputs are sorted in
@@ -51,7 +53,6 @@ from repro.engine.block_io import (
     iter_records,
     validate_block_records,
 )
-from repro.engine.merge_reading import validate_reading
 from repro.engine.spill_codec import AUTO_CODEC, validate_codec
 from repro.merge.kway import MergeCounter, validate_merge_params
 from repro.merge.merge_tree import DEFAULT_FAN_IN
@@ -66,9 +67,6 @@ from repro.sort.spill import DEFAULT_BUFFER_RECORDS
 
 #: Execution modes a plan can select.
 SORT_MODES = ("in_memory", "spill", "parallel")
-
-#: ``reading="auto"`` resolves against this sentinel set.
-AUTO_READING = "auto"
 
 
 def _resolve_codec(
@@ -99,7 +97,6 @@ class SortPlan:
     """The planner's decision for one sort."""
 
     mode: str
-    reading: Optional[str]
     fan_in: int
     buffer_records: int
     workers: int
@@ -116,7 +113,6 @@ def plan_sort(
     input_records: Optional[int] = None,
     fan_in: int = DEFAULT_FAN_IN,
     buffer_records: int = DEFAULT_BUFFER_RECORDS,
-    reading: str = AUTO_READING,
     codec: str = "none",
 ) -> SortPlan:
     """Apply the decision table; see the module docstring."""
@@ -125,15 +121,11 @@ def plan_sort(
         raise ValueError(f"memory must be >= 1, got {memory}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if reading != AUTO_READING:
-        validate_reading(reading)
     validate_codec(codec, allow_auto=True)
 
     if workers > 1:
-        resolved = reading if reading != AUTO_READING else "forecasting"
         return SortPlan(
             mode="parallel",
-            reading=resolved,
             fan_in=fan_in,
             buffer_records=buffer_records,
             workers=workers,
@@ -143,27 +135,18 @@ def plan_sort(
     if input_records is not None and input_records <= memory:
         return SortPlan(
             mode="in_memory",
-            reading=None,
             fan_in=fan_in,
             buffer_records=buffer_records,
             workers=1,
             reason=f"{input_records} records fit the {memory}-record budget",
             codec=None,
         )
-    if reading != AUTO_READING:
-        resolved = reading
-        why = f"requested reading={reading}"
-    elif input_records is not None and input_records <= memory * fan_in:
-        # A single merge pass over files written moments ago: the page
-        # cache is warm, prefetch threads would be pure overhead.
-        resolved = "naive"
+    if input_records is not None and input_records <= memory * fan_in:
         why = "single warm merge pass"
     else:
-        resolved = "forecasting"
-        why = "large or unknown input; prefetch hides read latency"
+        why = "large or unknown input; intermediate merge passes"
     return SortPlan(
         mode="spill",
-        reading=resolved,
         fan_in=fan_in,
         buffer_records=buffer_records,
         workers=1,
@@ -203,7 +186,6 @@ def plan_operator(
     k: Optional[int] = None,
     fan_in: int = DEFAULT_FAN_IN,
     buffer_records: int = DEFAULT_BUFFER_RECORDS,
-    reading: str = AUTO_READING,
     codec: str = "none",
 ) -> OperatorPlan:
     """Decision table for the sort-based operators (DESIGN.md §12).
@@ -220,10 +202,10 @@ def plan_operator(
 
     Everything below the first row delegates to :func:`plan_sort`, so
     the probe logic (buffer ``memory + 1`` records when the input size
-    is unknown) and the reading-strategy choice are exactly the sort
-    planner's.  The heap short-circuit only applies serially: a
-    parallel top-k still routes through the partitioned sort so its
-    output is produced by the same machinery it is compared against.
+    is unknown) and the codec choice are exactly the sort planner's.
+    The heap short-circuit only applies serially: a parallel top-k
+    still routes through the partitioned sort so its output is produced
+    by the same machinery it is compared against.
     """
     if operator not in OPERATORS:
         raise ValueError(
@@ -249,7 +231,6 @@ def plan_operator(
         input_records=input_records,
         fan_in=fan_in,
         buffer_records=buffer_records,
-        reading=reading,
         codec=codec,
     )
     mode = "in_memory" if sort_plan.mode == "in_memory" else "sort"
@@ -311,9 +292,6 @@ class SortEngine:
     block_records:
         Records per encode/decode batch on the engine's own input and
         output streams (:meth:`sort_stream`).
-    reading:
-        Final-merge reading strategy, or ``"auto"`` to let the planner
-        choose (see :func:`plan_sort`).
     checksum:
         Per-block CRC-32 headers on every spill, shard and partition
         file (DESIGN.md §11): a torn or bit-flipped block fails the
@@ -331,10 +309,10 @@ class SortEngine:
     After a sort is fully consumed, :attr:`report` holds the unified
     :class:`SortReport`, :attr:`plan` the decision that was executed,
     and :attr:`merge_passes` / :attr:`max_resident_records` /
-    :attr:`max_open_readers` / :attr:`reading_stats` the merge-side
-    instrumentation (zeros for the in-memory mode).  :attr:`backend`
-    is the underlying sorter (None for in-memory), for callers that
-    need backend-specific detail (per-worker reports, cut points).
+    :attr:`max_open_readers` the merge-side instrumentation (zeros for
+    the in-memory mode).  :attr:`backend` is the underlying sorter
+    (None for in-memory), for callers that need backend-specific detail
+    (per-worker reports, cut points).
     """
 
     def __init__(
@@ -349,7 +327,6 @@ class SortEngine:
         fan_in: int = DEFAULT_FAN_IN,
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
         block_records: int = DEFAULT_BLOCK_RECORDS,
-        reading: str = AUTO_READING,
         checksum: bool = False,
         spill_codec: str = "none",
         work_dir: Optional[str] = None,
@@ -373,7 +350,6 @@ class SortEngine:
         self.fan_in = fan_in
         self.buffer_records = buffer_records
         self.block_records = block_records
-        self.reading = reading
         self.checksum = checksum
         #: Spill codec (DESIGN.md §15); ``"auto"`` lets the planner
         #: choose per sort from input size and memory budget.
@@ -391,7 +367,6 @@ class SortEngine:
         self.merge_passes = 0
         self.max_resident_records = 0
         self.max_open_readers = 0
-        self.reading_stats = None
         #: Durable-mode reuse accounting of the last sort (zeros for
         #: fresh or non-durable sorts).
         self.runs_reused = 0
@@ -479,7 +454,6 @@ class SortEngine:
                 else self.spill_codec
             ),
         )
-        reading = self._resolved_reading(len(paths))
         counter = MergeCounter()
         # Input files are caller-provided plain text (no CLI path emits
         # checksummed outputs), so never expect block headers in them —
@@ -502,7 +476,7 @@ class SortEngine:
             count = 0
             for record in merge_spilled_runs(
                 session, runs, counter, self.record_format,
-                self.fan_in, self.buffer_records, reading,
+                self.fan_in, self.buffer_records,
             ):
                 count += 1
                 yield record
@@ -550,7 +524,6 @@ class SortEngine:
             fan_in=self.fan_in,
             buffer_records=self.buffer_records,
             block_records=self.block_records,
-            reading=self.reading,
             checksum=self.checksum,
             spill_codec=self.spill_codec,
             work_dir=work_dir,
@@ -666,7 +639,6 @@ class SortEngine:
             input_records=input_records,
             fan_in=self.fan_in,
             buffer_records=self.buffer_records,
-            reading=self.reading,
             codec=self.spill_codec,
         )
 
@@ -677,16 +649,10 @@ class SortEngine:
             return self.plan.codec
         return "none" if self.spill_codec == AUTO_CODEC else self.spill_codec
 
-    def _resolved_reading(self, n_runs: int) -> str:
-        if self.reading != AUTO_READING:
-            return self.reading
-        return "naive" if n_runs <= 1 else "forecasting"
-
     def _capture_session(self, session: Any) -> None:
         self.merge_passes = session.merge_passes
         self.max_resident_records = session.max_resident_records
         self.max_open_readers = session.max_open_readers
-        self.reading_stats = session.reading_stats
 
     def _sort_in_memory(self, stream: Iterable[Any]) -> Iterator[Any]:
         started = time.perf_counter()
@@ -710,12 +676,10 @@ class SortEngine:
         self.merge_passes = 0
         self.max_resident_records = 0
         self.max_open_readers = 0
-        self.reading_stats = None
         self.report = report
         return iter(data)
 
     def _sort_spill(self, stream: Iterable[Any]) -> Iterator[Any]:
-        assert self.plan is not None  # set by sort() before dispatch
         if self.work_dir is not None:
             # Durable serial sorting swaps the run generator for the
             # journaled chunk-aligned one (DESIGN.md §11): exact resume
@@ -728,7 +692,6 @@ class SortEngine:
                 fan_in=self.fan_in,
                 buffer_records=self.buffer_records,
                 record_format=self.record_format,
-                reading=self.plan.reading,
                 checksum=self.checksum,
                 resume=self._resume,
                 input_fingerprint=self.input_fingerprint,
@@ -745,7 +708,6 @@ class SortEngine:
             buffer_records=self.buffer_records,
             tmp_dir=self.tmp_dir,
             record_format=self.record_format,
-            reading=self.plan.reading,
             checksum=self.checksum,
             cpu_op_time=self.cpu_op_time,
             spill_codec=self._plan_codec(),
@@ -754,7 +716,6 @@ class SortEngine:
         return self._finishing(backend, backend.sort(stream))
 
     def _sort_parallel(self, stream: Iterable[Any]) -> Iterator[Any]:
-        assert self.plan is not None  # set by sort() before dispatch
         from repro.sort.parallel import PartitionedSort
 
         kwargs = {}
@@ -768,7 +729,6 @@ class SortEngine:
             buffer_records=self.buffer_records,
             tmp_dir=self.tmp_dir,
             record_format=self.record_format,
-            reading=self.plan.reading,
             total_memory=self.total_memory,
             checksum=self.checksum,
             work_dir=self.work_dir,
@@ -790,7 +750,6 @@ class SortEngine:
             self.merge_passes = backend.merge_passes
             self.max_resident_records = backend.max_resident_records
             self.max_open_readers = backend.max_open_readers
-            self.reading_stats = backend.reading_stats
             self.runs_reused = getattr(backend, "runs_reused", 0)
             self.merges_reused = getattr(backend, "merges_reused", 0)
             self.shards_reused = getattr(backend, "shards_reused", 0)

@@ -72,7 +72,6 @@ from repro.engine.block_io import (
     write_block_file,
 )
 from repro.engine.errors import JournalError, SortError
-from repro.engine.merge_reading import validate_reading
 from repro.engine.spill_codec import validate_codec
 from repro.merge.kway import MergeCounter, kway_merge, validate_merge_params
 from repro.merge.merge_tree import DEFAULT_FAN_IN
@@ -484,7 +483,6 @@ class ResumableSpillSort:
         fan_in: int = DEFAULT_FAN_IN,
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
         record_format: RecordFormat = INT,
-        reading: str = "naive",
         checksum: bool = False,
         resume: bool = False,
         input_fingerprint: Optional[str] = None,
@@ -500,7 +498,6 @@ class ResumableSpillSort:
         self.fan_in = fan_in
         self.buffer_records = buffer_records
         self.record_format = record_format
-        self.reading = validate_reading(reading)
         self.checksum = checksum
         self.resume = resume
         self.input_fingerprint = input_fingerprint
@@ -512,7 +509,6 @@ class ResumableSpillSort:
         self.merge_passes = 0
         self.max_resident_records = 0
         self.max_open_readers = 0
-        self.reading_stats = None
         #: Runs / intermediate merges skipped thanks to the journal.
         self.runs_reused = 0
         self.merges_reused = 0
@@ -589,7 +585,6 @@ class ResumableSpillSort:
                 self.record_format,
                 self.fan_in,
                 self.buffer_records,
-                self.reading,
                 merge_group=self._journaled_merge_group(
                     journal, session, counter
                 ),
@@ -607,7 +602,6 @@ class ResumableSpillSort:
                 report.spill_disk_bytes = session.spill_disk_bytes
                 self.report = report
             journal.close()
-            self.reading_stats = session.reading_stats
             self.merge_passes = session.merge_passes
             self.max_resident_records = session.max_resident_records
             self.max_open_readers = session.max_open_readers

@@ -12,10 +12,10 @@ three passes below fan-in 10 and two passes from 10 up, after which
 seeks take over).
 
 :func:`run_real` repeats the sweep on *real* run files through
-:meth:`repro.engine.SortEngine.merge_files` — the engine's
-block-batched readers and a §3.7.2 reading strategy against actual
-file handles — reporting measured wall time, merge passes, and block
-reads per fan-in.  Real-file wall times on a cached filesystem do not
+:func:`repro.sort.spill.merge_spilled_runs` — the engine's
+block-batched run readers against actual file handles — reporting
+measured wall time, merge passes, and block reads (every pass) per
+fan-in.  Real-file wall times on a cached filesystem do not
 reproduce the paper's seek-driven right half of the U; the pass count
 (the left half) and the block-read totals do, which is what
 ``main()`` prints next to the simulated curve.
@@ -25,15 +25,16 @@ from __future__ import annotations
 
 import os
 import tempfile
+import time
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.core.config import GeneratorSpec
 from repro.core.records import INT
 from repro.engine.block_io import write_sequence
-from repro.engine.planner import SortEngine
 from repro.experiments.common import experiment_filesystem
+from repro.merge.kway import MergeCounter
 from repro.merge.merge_tree import MergeTree
+from repro.sort.spill import SpilledRun, SpillSession, merge_spilled_runs
 from repro.workloads.generators import random_input
 
 DEFAULT_FAN_INS = tuple(range(2, 19))
@@ -95,7 +96,6 @@ class RealFanInPoint:
     wall_time: float
     passes: int
     block_reads: int
-    prefetch_hits: int
 
 
 def run_real(
@@ -103,10 +103,9 @@ def run_real(
     num_runs: int = DEFAULT_NUM_RUNS,
     run_records: int = DEFAULT_RUN_RECORDS,
     merge_memory: int = DEFAULT_MERGE_MEMORY,
-    reading: str = "forecasting",
     seed: int = 3,
 ) -> List[RealFanInPoint]:
-    """Merge the same pre-sorted *files* at every fan-in via the engine.
+    """Merge the same pre-sorted *files* at every fan-in.
 
     The per-run read buffer scales as ``merge_memory / fan_in``,
     mirroring how a fixed merge memory is split in the simulated sweep.
@@ -122,23 +121,28 @@ def run_real(
             write_sequence(path, records, INT)
             paths.append(path)
         for fan_in in fan_ins:
-            engine = SortEngine(
-                GeneratorSpec("lss", merge_memory),
-                fan_in=fan_in,
-                buffer_records=max(1, merge_memory // (fan_in + 1)),
-                reading=reading,
-                tmp_dir=work_dir,
-            )
-            merged = sum(1 for _ in engine.merge_files(paths))
+            buffer_records = max(1, merge_memory // (fan_in + 1))
+            session = SpillSession(tempfile.mkdtemp(dir=work_dir))
+            runs = [
+                SpilledRun(
+                    session, path, run_records, INT, buffer_records,
+                    keep=True,
+                )
+                for path in paths
+            ]
+            started = time.perf_counter()
+            merged = sum(1 for _ in merge_spilled_runs(
+                session, runs, MergeCounter(), INT, fan_in, buffer_records,
+            ))
+            wall_time = time.perf_counter() - started
+            session.cleanup()
             assert merged == num_runs * run_records
-            stats = engine.reading_stats
             points.append(
                 RealFanInPoint(
                     fan_in=fan_in,
-                    wall_time=engine.report.merge_phase.wall_time,
-                    passes=engine.merge_passes,
-                    block_reads=stats.block_reads,
-                    prefetch_hits=stats.prefetch_hits,
+                    wall_time=wall_time,
+                    passes=session.merge_passes,
+                    block_reads=session.block_reads,
                 )
             )
     return points
@@ -157,16 +161,12 @@ def main() -> None:
     print(f"minimum at fan-in {best.fan_in} (paper: 10)")
     real = run_real()
     print()
-    print("Same sweep over real run files (SortEngine.merge_files)")
-    print(
-        f"{'fan-in':>7} {'wall (s)':>10} {'passes':>7} "
-        f"{'block reads':>12} {'prefetch hits':>14}"
-    )
+    print("Same sweep over real run files (merge_spilled_runs)")
+    print(f"{'fan-in':>7} {'wall (s)':>10} {'passes':>7} {'block reads':>12}")
     for point in real:
         print(
             f"{point.fan_in:>7} {point.wall_time:>10.3f} "
-            f"{point.passes:>7} {point.block_reads:>12} "
-            f"{point.prefetch_hits:>14}"
+            f"{point.passes:>7} {point.block_reads:>12}"
         )
 
 

@@ -10,15 +10,16 @@ cost the format was built to remove, and one that no test notices
 because the output is still correct.
 
 The rule therefore bans ``*.decode(...)`` and ``*.key(...)`` calls
-inside the merge hot-loop modules (:mod:`repro.merge.kway` and
-:mod:`repro.engine.merge_reading`) and the store's scan/compaction
-hot loops (:mod:`repro.store.sstable`, :mod:`repro.store.compaction`),
-whose §17 meta layout exists precisely so LWW dedup and tombstone
-checks stay tuple-and-slice work.  Work that is genuinely per-block
-rather than per-record (e.g. the forecasting reader's run-tail key)
-carries an explicit waiver naming that reason; anything per-record
-belongs either in ``block_io`` (where text formats decode
-block-at-a-time) or at the final output boundary.
+inside the merge hot-loop modules (:mod:`repro.merge.kway`, the run
+reader every merge pass uses in :mod:`repro.sort.spill`, and the final
+pass's handle in :mod:`repro.engine.merge_reading`) and the store's
+scan/compaction hot loops (:mod:`repro.store.sstable`,
+:mod:`repro.store.compaction`), whose §17 meta layout exists precisely
+so LWW dedup and tombstone checks stay tuple-and-slice work.  Work that
+is genuinely per-block rather than per-record carries an explicit
+waiver naming that reason; anything per-record belongs either in
+``block_io`` (where text formats decode block-at-a-time) or at the
+final output boundary.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.lint.registry import FileContext, rule
 #: Modules whose loops must never pay a per-record decode.
 _HOT_MODULES = (
     "repro/merge/kway.py",
+    "repro/sort/spill.py",
     "repro/engine/merge_reading.py",
     "repro/store/sstable.py",
     "repro/store/compaction.py",

@@ -141,7 +141,6 @@ class GroupByAggregate:
             input_records=input_records,
             fan_in=engine.fan_in,
             buffer_records=engine.buffer_records,
-            reading=engine.reading,
         )
         counted = CountingIterator(records)
         stream = engine.sort(

@@ -56,7 +56,6 @@ class TopK:
             k=self.k,
             fan_in=engine.fan_in,
             buffer_records=engine.buffer_records,
-            reading=engine.reading,
         )
         if self.plan.mode == "heap":
             return self._run_heap(records)

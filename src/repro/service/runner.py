@@ -30,7 +30,7 @@ from repro.engine.block_io import (
     DEFAULT_BLOCK_RECORDS,
     iter_records,
 )
-from repro.engine.planner import AUTO_READING, SortEngine
+from repro.engine.planner import SortEngine
 from repro.engine.resilience import atomic_output
 from repro.ops import Distinct, GroupByAggregate, SortMergeJoin, TopK
 from repro.ops.base import CountingIterator, report_as_dict
@@ -120,7 +120,6 @@ def _engine(
         fan_in=spec.fan_in,
         buffer_records=DEFAULT_BUFFER_RECORDS,
         block_records=DEFAULT_BLOCK_RECORDS,
-        reading=AUTO_READING,
         checksum=spec.checksum,
         spill_codec=spec.spill_codec,
         work_dir=work_dir,

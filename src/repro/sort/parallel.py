@@ -21,7 +21,7 @@ when a finishing worker releases.
 
 Workers are spawn-safe: the only things crossing the process boundary
 are a picklable :class:`~repro.core.config.GeneratorSpec`, file paths,
-top-level encode/decode callables, and a broker proxy.
+a picklable record format, and a broker proxy.
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ from multiprocessing import get_context
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import GeneratorSpec
-from repro.core.records import KeyOnlyRecord, RecordFormat
+from repro.core.records import INT, KeyOnlyRecord, RecordFormat
 from repro.engine.block_io import BlockWriter, iter_records, open_run
 from repro.engine.errors import SortError
-from repro.engine.merge_reading import validate_reading
 from repro.engine.spill_codec import validate_codec
 from repro.merge.kway import MergeCounter, validate_merge_params
 from repro.merge.merge_tree import DEFAULT_FAN_IN
@@ -56,7 +55,6 @@ from repro.sort.spill import (
     SpilledRun,
     SpillSession,
     merge_spilled_runs,
-    resolve_record_format,
 )
 
 #: Supported partitioning strategies.
@@ -341,12 +339,9 @@ class PartitionedSort:
     partition:
         "hash" (default; balanced for any distribution) or "range"
         (sampled cut points; shards cover disjoint key ranges).
-    fan_in / buffer_records / tmp_dir / record_format / reading /
-    cpu_op_time:
-        As in :class:`FileSpillSort`; the format (or the legacy
-        ``encode``/``decode`` top-level callables) must be picklable so
-        the spawn start method can ship it to workers.  ``reading``
-        selects the parent merge's real-file reading strategy.
+    fan_in / buffer_records / tmp_dir / record_format / cpu_op_time:
+        As in :class:`FileSpillSort`; the format must be picklable so
+        the spawn start method can ship it to workers.
     total_memory:
         Broker pool size in records (defaults to ``spec.memory``).
     mp_context:
@@ -382,10 +377,7 @@ class PartitionedSort:
         fan_in: int = DEFAULT_FAN_IN,
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
         tmp_dir: Optional[str] = None,
-        encode: Optional[Callable[[Any], str]] = None,
-        decode: Optional[Callable[[str], Any]] = None,
-        record_format: Optional[RecordFormat] = None,
-        reading: str = "naive",
+        record_format: RecordFormat = INT,
         total_memory: Optional[int] = None,
         mp_context: str = "spawn",
         sample_records: int = DEFAULT_SAMPLE_RECORDS,
@@ -416,10 +408,7 @@ class PartitionedSort:
         self.fan_in = fan_in
         self.buffer_records = buffer_records
         self.tmp_dir = tmp_dir
-        self.record_format = resolve_record_format(
-            record_format, encode, decode
-        )
-        self.reading = validate_reading(reading)
+        self.record_format = record_format
         self.total_memory = total_memory if total_memory is not None else spec.memory
         if self.total_memory < MIN_WORKER_MEMORY:
             raise ValueError(
@@ -452,8 +441,6 @@ class PartitionedSort:
         self.merge_passes = 0
         self.max_resident_records = 0
         self.max_open_readers = 0
-        #: Reading-strategy instrumentation of the parent's final merge.
-        self.reading_stats = None
         #: Shards whose completion markers let a resume skip re-sorting.
         self.shards_reused = 0
         #: Records routed into each partition file by the last sort.
@@ -533,7 +520,6 @@ class PartitionedSort:
                     self.record_format,
                     self.fan_in,
                     self.buffer_records,
-                    self.reading,
                 )
                 merge_wall = time.perf_counter() - started
 
@@ -551,7 +537,6 @@ class PartitionedSort:
                 report.spill_disk_bytes += session.spill_disk_bytes
                 self.report = report
                 self.merge_passes = session.merge_passes
-                self.reading_stats = session.reading_stats
                 self.max_resident_records = session.max_resident_records
                 self.max_open_readers = session.max_open_readers
         finally:

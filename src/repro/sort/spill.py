@@ -11,12 +11,9 @@ path materialised every run and the merged output as Python lists.
 
 Serialisation is delegated to a :class:`~repro.core.records.
 RecordFormat` (DESIGN.md §9): spill files are written and read in
-*blocks* of records through :mod:`repro.engine.block_io`, and the final
-merge can read through any of the real-file reading strategies of
-:mod:`repro.engine.merge_reading` (``naive`` by default — identical
-behaviour to the seed).  The legacy ``encode=``/``decode=`` callable
-pair is still accepted and wrapped in a
-:class:`~repro.core.records.CallableFormat`.
+*blocks* of records through :mod:`repro.engine.block_io`.  Every merge
+pass, intermediate or final, reads its runs through one synchronous
+block reader, :meth:`SpilledRun.records` (DESIGN.md §9.3).
 
 The backend instruments its own laziness: :attr:`FileSpillSort.
 max_resident_records` tracks the largest number of records ever held in
@@ -33,7 +30,7 @@ import tempfile
 import time
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from repro.core.records import INT, CallableFormat, RecordFormat
+from repro.core.records import INT, RecordFormat
 from repro.engine.errors import SortError
 from repro.engine.block_io import (
     BlockWriter,
@@ -42,11 +39,7 @@ from repro.engine.block_io import (
     write_sequence,
 )
 from repro.engine.spill_codec import validate_codec
-from repro.engine.merge_reading import (
-    ReadingStats,
-    open_reading,
-    validate_reading,
-)
+from repro.engine.merge_reading import open_reading
 from repro.merge.kway import (
     MergeCounter,
     kway_merge,
@@ -59,29 +52,6 @@ from repro.sort.external import DEFAULT_CPU_OP_TIME, PhaseReport, SortReport
 
 #: Records decoded per read chunk of one run reader.
 DEFAULT_BUFFER_RECORDS = 4096
-
-
-def resolve_record_format(
-    record_format: Optional[RecordFormat],
-    encode: Optional[Callable[[Any], str]],
-    decode: Optional[Callable[[str], Any]],
-) -> RecordFormat:
-    """One format from either the new or the legacy constructor shape.
-
-    ``record_format`` wins; a legacy ``encode``/``decode`` pair (or a
-    single half, completed with the integer default for the other) is
-    wrapped in a :class:`CallableFormat`; neither means integers.
-    """
-    if record_format is not None:
-        if encode is not None or decode is not None:
-            raise ValueError(
-                "pass either record_format or encode/decode, not both"
-            )
-        return record_format
-    if encode is None and decode is None:
-        return INT
-    return CallableFormat(encode if encode is not None else str,
-                          decode if decode is not None else int)
 
 
 class SpillSession:
@@ -112,8 +82,8 @@ class SpillSession:
         #: bytes actually written (equal when the codec is "none").
         self.spill_raw_bytes = 0
         self.spill_disk_bytes = 0
-        #: Final-pass reading instrumentation (set by merge_spilled_runs).
-        self.reading_stats: Optional[ReadingStats] = None
+        #: Blocks delivered by every run reader of this session.
+        self.block_reads = 0
 
     def spilled(self, raw_bytes: int, disk_bytes: int) -> None:
         """Record one spill write's byte accounting."""
@@ -232,6 +202,7 @@ class SpilledRun:
                     binary=self.binary, codec=self.codec,
                 ):
                     delivered += len(chunk)
+                    session.block_reads += 1
                     session.buffer_grew(len(chunk))
                     try:
                         yield from chunk
@@ -294,17 +265,15 @@ def merge_spilled_runs(
     record_format: RecordFormat,
     fan_in: int,
     buffer_records: int,
-    reading: str = "naive",
     merge_group: Optional[Callable[[Sequence[SpilledRun]], SpilledRun]] = None,
 ) -> Iterator[Any]:
     """Reduce ``runs`` to ``fan_in`` and stream the final k-way merge.
 
     The shared merge tail of every real-file backend: intermediate
     passes (``merge_group``, :func:`merge_group_to_file` by default)
-    write new spill files; the final merge reads through the named
-    :mod:`~repro.engine.merge_reading` strategy.  ``session.
-    merge_passes`` and ``session.reading_stats`` describe what happened
-    once the stream is consumed.
+    write new spill files; the final merge reads the survivors through
+    the same :meth:`SpilledRun.records` reader.  ``session.merge_passes``
+    describes what happened once the stream is consumed.
     """
     if merge_group is None:
         def merge_group(group: Sequence[SpilledRun]) -> SpilledRun:
@@ -313,17 +282,14 @@ def merge_spilled_runs(
             )
     runs, extra_passes = reduce_to_fan_in(runs, fan_in, merge_group)
     session.merge_passes = 1 + extra_passes
-    strategy = open_reading(
-        reading, runs, record_format, buffer_records, session
-    )
-    session.reading_stats = strategy.stats
+    final = open_reading(runs, session)
     try:
         yield from kway_merge(
-            strategy.streams(), counter,
+            final.streams(), counter,
             fan_in=fan_in, buffer_records=buffer_records,
         )
     finally:
-        strategy.close()
+        final.close()
 
 
 class FileSpillSort:
@@ -346,11 +312,7 @@ class FileSpillSort:
     record_format:
         Record <-> line serialisation and key extraction
         (:data:`~repro.core.records.INT` by default, matching the
-        CLI's historical key format).  The legacy ``encode`` /
-        ``decode`` callables are still accepted instead.
-    reading:
-        Merge reading strategy for the final pass (``naive`` /
-        ``forecasting`` / ``double_buffering``; DESIGN.md §9).
+        CLI's historical key format).
     checksum:
         Write per-block CRC-32 headers into every spill file and
         verify them on read-back (DESIGN.md §11), so a torn or
@@ -360,9 +322,9 @@ class FileSpillSort:
         Simulated seconds per analytic CPU op, for the report's
         ``cpu_time`` alongside the measured wall times.
 
-    :attr:`report`, :attr:`merge_passes`, :attr:`max_resident_records`,
-    :attr:`max_open_readers` and :attr:`reading_stats` describe the
-    most recently *finished* sort (each ``sort()`` call keeps its own
+    :attr:`report`, :attr:`merge_passes`, :attr:`max_resident_records`
+    and :attr:`max_open_readers` describe the most recently *finished*
+    sort (each ``sort()`` call keeps its own
     private state while running, so overlapping sorts do not
     interfere).
     """
@@ -373,10 +335,7 @@ class FileSpillSort:
         fan_in: int = DEFAULT_FAN_IN,
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
         tmp_dir: Optional[str] = None,
-        encode: Optional[Callable[[Any], str]] = None,
-        decode: Optional[Callable[[str], Any]] = None,
-        record_format: Optional[RecordFormat] = None,
-        reading: str = "naive",
+        record_format: RecordFormat = INT,
         checksum: bool = False,
         cpu_op_time: float = DEFAULT_CPU_OP_TIME,
         spill_codec: str = "none",
@@ -386,10 +345,7 @@ class FileSpillSort:
         self.fan_in = fan_in
         self.buffer_records = buffer_records
         self.tmp_dir = tmp_dir
-        self.record_format = resolve_record_format(
-            record_format, encode, decode
-        )
-        self.reading = validate_reading(reading)
+        self.record_format = record_format
         self.checksum = checksum
         self.cpu_op_time = cpu_op_time
         #: Spill codec (DESIGN.md §15) for runs, intermediate merges
@@ -407,18 +363,6 @@ class FileSpillSort:
         self.merge_passes = 0
         self.max_resident_records = 0
         self.max_open_readers = 0
-        #: Reading-strategy instrumentation of the last final merge.
-        self.reading_stats: Optional[ReadingStats] = None
-
-    # -- legacy serialisation accessors ---------------------------------------
-
-    @property
-    def encode(self) -> Callable[[Any], str]:
-        return self.record_format.encode
-
-    @property
-    def decode(self) -> Callable[[str], Any]:
-        return self.record_format.decode
 
     # -- public API --------------------------------------------------------------
 
@@ -471,7 +415,6 @@ class FileSpillSort:
                 self.record_format,
                 self.fan_in,
                 self.buffer_records,
-                self.reading,
                 merge_group=lambda group: self._merge_to_file(
                     session, group, counter
                 ),
@@ -491,7 +434,6 @@ class FileSpillSort:
                 report.spill_raw_bytes = session.spill_raw_bytes
                 report.spill_disk_bytes = session.spill_disk_bytes
                 self.report = report
-            self.reading_stats = session.reading_stats
             self.merge_passes = session.merge_passes
             self.max_resident_records = session.max_resident_records
             self.max_open_readers = session.max_open_readers

@@ -189,8 +189,8 @@ class TestEmptyInput:
 
 class TestRecordFormats:
     """Acceptance: every --format sorts byte-identically across the
-    serial spill backend, the parallel backend, and all merge reading
-    strategies."""
+    serial spill backend (one merge pass or several) and the parallel
+    backend."""
 
     CASES = {
         "int": (
@@ -224,9 +224,9 @@ class TestRecordFormats:
         src.write_text("".join(f"{line}\n" for line in lines))
         outputs = set()
         variants = [
-            ["--reading", "naive"],
-            ["--reading", "forecasting"],
-            ["--reading", "double_buffering"],
+            [],
+            ["--fan-in", "2"],
+            ["--merge-buffer", "8"],
             ["--workers", "2"],
         ]
         for index, variant in enumerate(variants):
@@ -300,14 +300,44 @@ class TestRecordFormats:
         assert main(["sort", "--format", "str", str(src)]) == 0
         assert capsys.readouterr().out == "apple\nfig\npear\n"
 
-    def test_reading_strategy_shown_in_report(self, tmp_path, capsys):
-        src = tmp_path / "input.txt"
-        src.write_text("".join(f"{v}\n" for v in range(300, 0, -1)))
-        assert main(
-            ["sort", "--memory", "16", "--reading", "double_buffering",
-             "--report", str(src), "-o", str(tmp_path / "o.txt")]
-        ) == 0
-        assert "strategy=double_buffering" in capsys.readouterr().err
+
+class TestRetiredOptions:
+    @pytest.mark.parametrize(
+        "command", ["sort", "merge", "distinct", "agg", "join", "topk"]
+    )
+    def test_reading_option_is_gone(self, command, capsys):
+        argv = [command, "--reading", "naive", "a.txt"]
+        if command == "join":
+            argv.append("b.txt")
+        if command == "topk":
+            argv[1:1] = ["-k", "3"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments: --reading" in capsys.readouterr().err
+
+
+class TestReportRenderer:
+    """Every subcommand's --report prints one spill line per engine."""
+
+    @pytest.mark.parametrize("command", ["sort", "merge", "distinct", "agg"])
+    def test_one_spill_line_and_no_read_line(
+        self, command, input_file, tmp_path, capsys
+    ):
+        path, _ = input_file
+        source = path
+        if command == "merge":
+            source = tmp_path / "sorted.txt"
+            assert main(["sort", str(path), "-o", str(source)]) == 0
+        argv = [command, "--memory", "16", "--fan-in", "2", "--report"]
+        if command == "merge":
+            argv = [command, "--fan-in", "2", "--report", str(source)]
+        argv += [str(source), "-o", str(tmp_path / "out.txt")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        spill = [line for line in lines if line.startswith("  spill ")]
+        assert len(spill) == 1 and "passes=" in spill[0]
+        assert not any(line.startswith("  read ") for line in lines)
 
 
 class TestDatasetCommand:

@@ -12,7 +12,7 @@ and the output is compared *byte-for-byte* against independent oracles:
   that shares no code with this repository.
 
 The default-suite slice covers every format once; the ``stress`` sweep
-crosses memory budgets x reading strategies x worker counts (the CI
+crosses memory budgets x merge buffer sizes x worker counts (the CI
 resilience job runs it).  Corpora derive from ``REPRO_STRESS_SEED``.
 """
 
@@ -125,19 +125,21 @@ def gnu_reference(source, fmt):
 
 
 def run_differential_case(
-    tmp_path, fmt, *, memory=64, reading="auto", workers=1, records=2_000,
-    binary=False,
+    tmp_path, fmt, *, memory=64, merge_buffer=None, workers=1,
+    records=2_000, binary=False,
 ):
     case = dict(
-        fmt=fmt, memory=memory, reading=reading, workers=workers,
+        fmt=fmt, memory=memory, merge_buffer=merge_buffer, workers=workers,
         binary=binary,
     )
-    source = write_corpus(tmp_path, fmt, records, memory, reading, workers)
+    source = write_corpus(
+        tmp_path, fmt, records, memory, merge_buffer, workers
+    )
     out = tmp_path / f"{fmt}{'.bin' if binary else ''}.out"
     argv = ["sort", "--memory", str(memory), "--fan-in", "4",
             *cli_format_args(fmt)]
-    if reading != "auto":
-        argv += ["--reading", reading]
+    if merge_buffer is not None:
+        argv += ["--merge-buffer", str(merge_buffer)]
     if workers > 1:
         argv += ["--workers", str(workers)]
     if binary:
@@ -164,7 +166,7 @@ FORMATS = ["int", "float", "str", "csv"]
 
 
 class TestDifferentialSmoke:
-    """Every format once, spilling memory budget, default reading."""
+    """Every format once, spilling memory budget, default merge buffer."""
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_format_against_oracles(self, tmp_path, fmt):
@@ -194,16 +196,15 @@ class TestDifferentialSmoke:
 
 @pytest.mark.stress
 class TestDifferentialStress:
-    """memory budgets x reading strategies x formats, plus workers."""
+    """memory budgets x merge buffer sizes x formats, plus workers."""
 
     @pytest.mark.parametrize("memory", [32, 257, 4_096])
-    @pytest.mark.parametrize(
-        "reading", ["naive", "forecasting", "double_buffering"]
-    )
+    @pytest.mark.parametrize("merge_buffer", [None, 64, 7])
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_serial_sweep(self, tmp_path, fmt, reading, memory):
+    def test_serial_sweep(self, tmp_path, fmt, merge_buffer, memory):
         run_differential_case(
-            tmp_path, fmt, memory=memory, reading=reading, records=6_000
+            tmp_path, fmt, memory=memory, merge_buffer=merge_buffer,
+            records=6_000,
         )
 
     @pytest.mark.parametrize("fmt", FORMATS)

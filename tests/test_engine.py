@@ -1,6 +1,7 @@
 """Tests for the unified SortEngine facade and its planner (DESIGN.md §9)."""
 
 import io
+import threading
 
 import pytest
 
@@ -20,32 +21,11 @@ class TestPlanner:
     def test_parallel_wins_over_everything(self):
         plan = plan_sort(memory=1_000, workers=4, input_records=10)
         assert plan.mode == "parallel"
-        assert plan.reading == "forecasting"
         assert plan.workers == 4
 
     def test_small_inputs_stay_in_memory(self):
         plan = plan_sort(memory=1_000, input_records=1_000)
         assert plan.mode == "in_memory"
-        assert plan.reading is None
-
-    def test_single_pass_spill_reads_naively(self):
-        plan = plan_sort(memory=1_000, input_records=5_000, fan_in=10)
-        assert plan.mode == "spill"
-        assert plan.reading == "naive"
-
-    def test_large_spill_forecasts(self):
-        plan = plan_sort(memory=1_000, input_records=1_000_000, fan_in=10)
-        assert (plan.mode, plan.reading) == ("spill", "forecasting")
-
-    def test_unknown_size_forecasts(self):
-        plan = plan_sort(memory=1_000)
-        assert (plan.mode, plan.reading) == ("spill", "forecasting")
-
-    def test_explicit_reading_is_honoured(self):
-        plan = plan_sort(
-            memory=10, input_records=10_000, reading="double_buffering"
-        )
-        assert plan.reading == "double_buffering"
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -56,8 +36,6 @@ class TestPlanner:
             plan_sort(memory=10, fan_in=1)
         with pytest.raises(ValueError):
             plan_sort(memory=10, buffer_records=0)
-        with pytest.raises(ValueError):
-            plan_sort(memory=10, reading="telepathic")
 
 
 class TestSpecForFormat:
@@ -102,8 +80,42 @@ class TestEngineModes:
         assert got == sorted(data)
         assert engine.plan.mode == "spill"
         assert engine.report.runs > 1
-        assert engine.reading_stats is not None
-        assert engine.reading_stats.strategy == engine.plan.reading
+
+    @pytest.mark.parametrize("entry", [
+        "sort", "durable_sort", "merge_files", "distinct", "aggregate",
+        "topk", "join",
+    ])
+    def test_default_multi_pass_spill_starts_no_thread(self, entry, tmp_path):
+        # Every merge pass reads synchronously through one reader, so
+        # no default entry point starts a helper thread mid-stream.
+        data = list(random_input(5_000, seed=2))
+        engine = SortEngine(
+            GeneratorSpec("lss", 100), fan_in=4, buffer_records=64,
+            tmp_dir=str(tmp_path),
+            work_dir=str(tmp_path / "wd") if entry == "durable_sort" else None,
+        )
+        if entry in ("sort", "durable_sort"):
+            stream = engine.sort(iter(data))
+        elif entry == "merge_files":
+            paths = []
+            for i in range(6):
+                path = str(tmp_path / f"run-{i}.txt")
+                write_sequence(path, sorted(data[i::6]), INT)
+                paths.append(path)
+            stream = engine.merge_files(paths)
+        elif entry == "join":
+            stream = engine.join(iter(data), iter(data[:500]))
+        elif entry == "topk":
+            stream = engine.topk(iter(data), k=1_000)
+        else:
+            stream = getattr(engine, entry)(iter(data))
+        before = set(threading.enumerate())
+        head = next(stream)
+        started = set(threading.enumerate()) - before
+        rest = list(stream)
+        assert head is not None and rest
+        assert engine.merge_passes > 1
+        assert started == set()
 
     def test_parallel_mode(self, tmp_path):
         data = list(random_input(4_000, seed=3))
@@ -140,9 +152,8 @@ class TestEngineModes:
         data = list(make_input("mixed_balanced", 4_000, seed=5))
         outputs = []
         for kwargs in (
-            {"reading": "naive"},
-            {"reading": "forecasting"},
-            {"reading": "double_buffering"},
+            {},
+            {"fan_in": 2},
             {"workers": 2},
             {"workers": 3, "partition": "range"},
         ):
@@ -182,8 +193,8 @@ class TestEngineModes:
         stream.close()
         # Instrumentation mirrors the partial merge instead of staying
         # at its constructor zeros.
-        assert engine.reading_stats is not None
         assert engine.merge_passes >= 1
+        assert engine.max_open_readers >= 1
 
 
 class TestEngineFormats:

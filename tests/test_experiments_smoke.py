@@ -86,6 +86,14 @@ class TestHarnesses:
         )
         assert all(p.merge_io_time > 0 for p in points)
 
+    def test_fig_6_1_real_files_small(self):
+        points = fig_6_1_fan_in.run_real(
+            fan_ins=(2, 8), num_runs=8, run_records=128, merge_memory=1_024
+        )
+        # Fan-in 2 needs log2(8) = 3 passes over the same files.
+        assert [p.passes for p in points] == [3, 1]
+        assert all(p.block_reads > 0 and p.wall_time > 0 for p in points)
+
     def test_fig_6_2_small(self):
         rows = fig_6_2_random_memory.run(
             memories=(100, 400), input_records=5_000

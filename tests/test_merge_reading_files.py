@@ -1,184 +1,148 @@
-"""Tests for the real-file merge reading strategies (satellite:
-byte-identical output across naive/forecasting/double_buffering on the
-six workload distributions, plus prefetch-correctness regressions)."""
+"""Tests for the real-file merge tail, :func:`merge_spilled_runs`.
+
+Every merge pass reads its runs through one block reader
+(:meth:`SpilledRun.records`), so whether a merge finishes in one pass
+or goes through intermediate spill files is only a choice of plan: the
+output must be byte-identical either way, on the six workload
+distributions and for non-numeric records.  The lifecycle cases pin
+what the final pass's handle owns: run files, open handles, and the
+truncation check.
+"""
 
 import os
-import threading
 
 import pytest
 
 from repro.core.config import GeneratorSpec
 from repro.core.records import INT, STR
+from repro.engine import merge_reading
 from repro.engine.block_io import write_sequence
-from repro.engine.merge_reading import (
-    READING_STRATEGIES,
-    ForecastingReading,
-    open_reading,
+from repro.engine.errors import SortError
+from repro.merge.kway import MergeCounter, kway_merge
+from repro.sort import spill
+from repro.sort.spill import (
+    FileSpillSort,
+    SpilledRun,
+    SpillSession,
+    merge_spilled_runs,
 )
-from repro.merge.kway import kway_merge
-from repro.sort.spill import FileSpillSort, SpillSession
 from repro.workloads.generators import DISTRIBUTIONS, make_input
 
 
-class _Run:
-    """Minimal run protocol: a path, no discard (files are kept)."""
-
-    def __init__(self, path):
-        self.path = path
-
-
-def _write_runs(tmp_path, runs, fmt=INT):
-    paths = []
+def _write_runs(tmp_path, runs, fmt=INT, buffer_records=64, keep=True):
+    """Sorted run files wrapped as spilled runs of one fresh session."""
+    work_dir = tmp_path / "work"
+    work_dir.mkdir(exist_ok=True)
+    session = SpillSession(str(work_dir))
+    spilled = []
     for index, run in enumerate(runs):
         path = str(tmp_path / f"run-{index:03d}.txt")
         write_sequence(path, sorted(run), fmt)
-        paths.append(_Run(path))
-    return paths
+        spilled.append(SpilledRun(
+            session, path, len(run), fmt, buffer_records, keep=keep,
+        ))
+    return session, spilled
 
 
-def _merge_with(reading, runs, fmt=INT, buffer_records=64):
-    strategy = open_reading(reading, runs, fmt, buffer_records)
-    try:
-        return list(kway_merge(strategy.streams())), strategy.stats
-    finally:
-        strategy.close()
+def _merge(session, runs, fmt=INT, fan_in=10, buffer_records=64):
+    return merge_spilled_runs(
+        session, runs, MergeCounter(), fmt, fan_in, buffer_records
+    )
 
 
 class TestByteIdenticalAcrossStrategies:
+    """One final pass vs intermediate passes at fan-in 2."""
+
+    @staticmethod
+    def _both_plans(tmp_path, runs, fmt=INT, buffer_records=96):
+        outputs = []
+        for fan_in in (len(runs), 2):
+            session, spilled = _write_runs(
+                tmp_path, runs, fmt, buffer_records
+            )
+            outputs.append(list(_merge(
+                session, spilled, fmt, fan_in, buffer_records
+            )))
+            assert (session.merge_passes == 1) == (fan_in == len(runs))
+            session.cleanup()
+        return outputs
+
     @pytest.mark.parametrize("distribution", sorted(DISTRIBUTIONS))
     def test_six_distributions(self, distribution, tmp_path):
         data = list(make_input(distribution, 3_000, seed=11))
         chunk = 400
         runs = [data[i : i + chunk] for i in range(0, len(data), chunk)]
-        paths = _write_runs(tmp_path, runs)
-        outputs = {}
-        for reading in READING_STRATEGIES:
-            merged, _ = _merge_with(reading, paths, buffer_records=96)
-            outputs[reading] = merged
-        assert outputs["naive"] == sorted(data)
-        assert outputs["forecasting"] == outputs["naive"]
-        assert outputs["double_buffering"] == outputs["naive"]
+        single, multi = self._both_plans(tmp_path, runs)
+        assert single == sorted(data)
+        assert multi == single
 
     def test_string_records(self, tmp_path):
         words = [f"w{i:05d}" for i in range(900)]
-        runs = [words[0::3], words[1::3], words[2::3]]
-        paths = _write_runs(tmp_path, runs, STR)
-        for reading in READING_STRATEGIES:
-            merged, _ = _merge_with(reading, paths, STR, buffer_records=32)
-            assert merged == sorted(words)
+        runs = [words[0::3], words[1::3], words[2::3], words[:50]]
+        single, multi = self._both_plans(tmp_path, runs, STR, 32)
+        assert single == sorted(words + words[:50])
+        assert multi == single
 
     def test_through_the_spill_backend(self, tmp_path):
-        """Whole FileSpillSort sorts agree across reading strategies."""
+        """Whole FileSpillSort sorts agree across merge fan-ins."""
         data = list(make_input("mixed_balanced", 6_000, seed=7))
-        outputs = {}
-        for reading in READING_STRATEGIES:
+        outputs = []
+        for fan_in in (64, 4):
             sorter = FileSpillSort(
                 GeneratorSpec("lss", 300).build(),
-                fan_in=4,
+                fan_in=fan_in,
                 buffer_records=128,
                 tmp_dir=str(tmp_path),
-                reading=reading,
             )
-            outputs[reading] = list(sorter.sort(iter(data)))
-            assert sorter.reading_stats.strategy == reading
-        assert outputs["forecasting"] == outputs["naive"] == sorted(data)
-        assert outputs["double_buffering"] == outputs["naive"]
+            outputs.append(list(sorter.sort(iter(data))))
+            assert (sorter.merge_passes > 1) == (fan_in == 4)
+        assert outputs[0] == outputs[1] == sorted(data)
 
 
-class TestPrefetchCorrectness:
-    def test_forecasting_prefetch_preserves_block_order(self, tmp_path):
-        # Tiny buffers force many refills, so every prefetched block
-        # that lands out of sequence would corrupt the output order.
-        runs = [list(range(i, 2_000, 7)) for i in range(7)]
-        paths = _write_runs(tmp_path, runs)
-        merged, stats = _merge_with("forecasting", paths, buffer_records=8)
-        assert merged == sorted(v for run in runs for v in run)
-        assert stats.prefetches > 0
-        assert stats.prefetch_hits == stats.prefetches or (
-            stats.prefetch_hits <= stats.prefetches
+class TestFinalPassHandle:
+    def test_block_reads_count_the_final_pass_only(self, tmp_path):
+        session, runs = _write_runs(
+            tmp_path, [list(range(i, 300, 3)) for i in range(3)],
+            buffer_records=10,
         )
+        assert len(list(runs[0].records())) == 100  # 10 blocks, not ours
+        final = merge_reading.open_reading(runs[1:], session)
+        merged = list(kway_merge(final.streams()))
+        final.close()
+        assert len(merged) == 200
+        assert session.block_reads == 30
+        assert final.stats.block_reads == 20
+        assert (final.stats.prefetches, final.stats.prefetch_hits) == (0, 0)
 
-    def test_forecasting_targets_the_run_that_empties_first(self, tmp_path):
-        # Run 0's keys are all smaller than run 1's, so every forecast
-        # must aim at run 0 until it is exhausted.
-        runs = [list(range(0, 100)), list(range(1_000, 1_100))]
-        paths = _write_runs(tmp_path, runs)
-        strategy = open_reading("forecasting", paths, INT, 10)
-        targets = []
-        original = ForecastingReading._forecast
+    def test_merge_tail_opens_the_final_pass_by_module_name(
+        self, tmp_path, monkeypatch
+    ):
+        # External tracers wrap ``repro.sort.spill.open_reading`` and
+        # ``ReadingStrategy.close`` to time the final pass; the merge
+        # tail must resolve both at call time.
+        opened = []
 
-        def spying_forecast(self):
-            original(self)
-            if self._pending is not None:
-                targets.append(self._pending[0])
+        def spying_open(runs, session):
+            opened.append(merge_reading.open_reading(runs, session))
+            return opened[-1]
 
-        strategy._forecast = spying_forecast.__get__(strategy)
-        try:
-            merged = list(kway_merge(strategy.streams()))
-        finally:
-            strategy.close()
-        assert merged == sorted(runs[0] + runs[1])
-        assert targets, "forecasting never prefetched"
-        # While run 0 is alive its tail is always the smallest.
-        assert set(targets[:5]) == {0}
-
-    def test_double_buffering_halves_the_buffer(self, tmp_path):
-        paths = _write_runs(tmp_path, [list(range(100))])
-        strategy = open_reading("double_buffering", paths, INT, 50)
-        try:
-            assert strategy.sources[0].block_records == 25
-            merged = [r for s in strategy.streams() for r in s]
-        finally:
-            strategy.close()
-        assert merged == list(range(100))
-
-    def test_prefetched_blocks_count_toward_session_budget(self, tmp_path):
-        session = SpillSession(str(tmp_path))
-        runs = [list(range(i, 1_200, 3)) for i in range(3)]
-        paths = _write_runs(tmp_path, runs)
-        strategy = open_reading(
-            "double_buffering", paths, INT, 64, session
+        monkeypatch.setattr(spill, "open_reading", spying_open)
+        assert "close" in merge_reading.ReadingStrategy.__dict__
+        session, runs = _write_runs(
+            tmp_path, [list(range(100)) for _ in range(5)],
+            buffer_records=10,
         )
-        try:
-            merged = list(kway_merge(strategy.streams()))
-        finally:
-            strategy.close()
-        assert merged == sorted(v for run in runs for v in run)
-        # Both buffer halves are accounted per run — the one being
-        # consumed and the in-flight refill — so the session bound
-        # covers true peak memory, prefetching included.
-        assert session.max_resident_records <= 3 * 64
-        assert session.max_resident_records > 0
-        assert session.max_open_readers <= 3
-        assert session.open_readers == 0
-        assert session.resident == 0
-
-    def test_abandoned_prefetch_charge_released_on_close(self, tmp_path):
-        session = SpillSession(str(tmp_path))
-        paths = _write_runs(tmp_path, [list(range(500)), list(range(500))])
-        strategy = open_reading("forecasting", paths, INT, 16, session)
-        streams = strategy.streams()
-        for _ in range(40):  # enough to trigger a prefetch, then stop
-            next(streams[0])
-        for stream in streams:
-            stream.close()
-        strategy.close()
-        assert session.resident == 0
-
-    def test_prefetch_threads_do_not_leak(self, tmp_path):
-        before = threading.active_count()
-        paths = _write_runs(tmp_path, [list(range(500)), list(range(500))])
-        for _ in range(3):
-            merged, _ = _merge_with("forecasting", paths, buffer_records=16)
-            assert len(merged) == 1_000
-        assert threading.active_count() <= before + 1
+        merged = list(_merge(session, runs, fan_in=2, buffer_records=10))
+        assert len(merged) == 500
+        assert len(opened) == 1
+        # 5 runs at fan-in 2: the final pass merges 2 runs of 200 + 300.
+        assert opened[0].stats.block_reads == 50
+        assert session.block_reads > opened[0].stats.block_reads
 
 
 class TestLifecycle:
     def test_discardable_runs_removed_kept_runs_survive(self, tmp_path):
         session = SpillSession(str(tmp_path))
-        from repro.sort.spill import SpilledRun
-
         data = sorted(range(200))
         spill_path = str(tmp_path / "spill.txt")
         keep_path = str(tmp_path / "keep.txt")
@@ -188,24 +152,31 @@ class TestLifecycle:
             SpilledRun(session, spill_path, 200, INT, 32),
             SpilledRun(session, keep_path, 200, INT, 32, keep=True),
         ]
-        merged, _ = _merge_with("naive", runs, buffer_records=32)
+        merged = list(_merge(session, runs, buffer_records=32))
         assert len(merged) == 400
         assert not os.path.exists(spill_path)
         assert os.path.exists(keep_path)
 
     def test_close_mid_merge_closes_handles(self, tmp_path):
-        paths = _write_runs(tmp_path, [list(range(1_000))])
-        strategy = open_reading("forecasting", paths, INT, 10)
-        stream = strategy.streams()[0]
+        session, runs = _write_runs(
+            tmp_path, [list(range(1_000)), list(range(500))],
+            buffer_records=10,
+        )
+        stream = _merge(session, runs, buffer_records=10)
         for _ in range(25):
             next(stream)
-        strategy.close()
-        assert all(s.handle is None for s in strategy.sources)
+        assert session.open_readers == 2
+        stream.close()
+        assert session.open_readers == 0
+        assert session.resident == 0
 
-    def test_unknown_strategy_is_a_clear_error(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown reading strategy"):
-            open_reading("psychic", [], INT, 8)
+    def test_truncated_run_raises_sort_error(self, tmp_path):
+        session, runs = _write_runs(tmp_path, [list(range(100))])
+        runs[0].length = 150  # the writer claimed more than the file holds
+        with pytest.raises(SortError, match="delivered 100 records but 150"):
+            list(_merge(session, runs))
 
     def test_invalid_buffer_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="block_records"):
-            open_reading("naive", [], INT, 0)
+        session, runs = _write_runs(tmp_path, [list(range(10))])
+        with pytest.raises(ValueError, match="buffer_records"):
+            list(_merge(session, runs, buffer_records=0))

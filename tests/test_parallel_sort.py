@@ -7,6 +7,7 @@ import pytest
 from _helpers import files_under
 
 from repro.core.config import RECOMMENDED, GeneratorSpec
+from repro.core.records import INT
 from repro.sort.parallel import (
     MIN_WORKER_MEMORY,
     PartitionedSort,
@@ -14,27 +15,8 @@ from repro.sort.parallel import (
     range_cut_points,
     usable_cpus,
 )
+from repro.testing.faults import FaultInjected, FaultyFormat
 from repro.workloads.generators import make_input, random_input
-
-
-def failing_encode(record) -> str:
-    """Top-level (spawn-picklable) encoder that rejects one sentinel."""
-    if record == 13:
-        raise ValueError("poisoned record")
-    return str(record)
-
-
-def failing_decode(line: str) -> int:
-    """Top-level (spawn-picklable) decoder that rejects one sentinel.
-
-    Partitioning encodes happily; the failure only fires when a worker
-    process reads its partition file back, so the error crosses the
-    pool boundary.
-    """
-    value = int(line)
-    if value == 13:
-        raise ValueError("poisoned record")
-    return value
 
 
 class TestPartitioning:
@@ -77,11 +59,6 @@ class TestPartitioning:
             for seed in ("1", "2", "77")
         }
         assert len(outputs) == 1, outputs
-
-    def test_invalid_reading_rejected_at_construction(self):
-        spec = GeneratorSpec("lss", 100)
-        with pytest.raises(ValueError, match="unknown reading strategy"):
-            PartitionedSort(spec, workers=2, reading="forcasting")
 
     def test_range_cut_points_are_ascending_quantiles(self):
         sample = list(range(1000, 0, -1))
@@ -226,27 +203,30 @@ class TestCleanup:
         assert os.listdir(tmp_path) == []
 
     def test_partition_failure_removes_work_dir(self, tmp_path):
-        data = list(range(100))  # contains the poisoned record 13
+        data = list(range(100))
         sorter = PartitionedSort(
             GeneratorSpec("lss", 50),
             workers=2,
             tmp_dir=str(tmp_path),
-            encode=failing_encode,
+            # The parent's first partition-file write fails.
+            record_format=FaultyFormat(INT, fail_encode_at=1),
         )
-        with pytest.raises(ValueError, match="poisoned"):
+        with pytest.raises(FaultInjected, match="encode fault"):
             list(sorter.sort(iter(data)))
         assert files_under(tmp_path) == []
         assert os.listdir(tmp_path) == []
 
     def test_worker_failure_removes_work_dir(self, tmp_path):
-        data = list(range(100))  # contains the poisoned record 13
+        data = list(range(100))
         sorter = PartitionedSort(
             GeneratorSpec("lss", 50),
             workers=2,
             tmp_dir=str(tmp_path),
-            decode=failing_decode,
+            # Partitioning only encodes; each worker process fails on
+            # its first decode, so the error crosses the pool boundary.
+            record_format=FaultyFormat(INT, fail_decode_at=1),
         )
-        with pytest.raises(ValueError, match="poisoned"):
+        with pytest.raises(FaultInjected, match="decode fault"):
             list(sorter.sort(iter(data)))
         assert files_under(tmp_path) == []
         assert os.listdir(tmp_path) == []

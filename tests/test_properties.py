@@ -191,7 +191,7 @@ class TestFormatProperties:
             GeneratorSpec(algorithm, memory),
             record_format=STR,
             fan_in=rng.choice((2, 4, 10)),
-            reading=rng.choice(("naive", "forecasting", "double_buffering")),
+            buffer_records=rng.choice((16, 256, 4096)),
             tmp_dir=str(tmp_path),
         )
         got = list(engine.sort(iter(data)))

@@ -9,7 +9,6 @@ from repro.core.records import (
     FORMAT_NAMES,
     INT,
     STR,
-    CallableFormat,
     DelimitedFormat,
     resolve_format,
 )
@@ -173,19 +172,6 @@ class TestDelimitedFormat:
         assert clone.delimiter == ";"
         assert clone.key_column == 2
         assert clone.key(clone.decode("a;b;5")) == (0, 5)
-
-
-class TestCallableFormat:
-    def test_wraps_legacy_pair(self):
-        fmt = CallableFormat(repr, float)
-        assert fmt.decode(fmt.encode(2.5)) == 2.5
-        text = fmt.encode_block([1.5, 2.5])
-        assert fmt.decode_block(text.splitlines(keepends=True)) == [1.5, 2.5]
-
-    def test_picklable_with_top_level_callables(self):
-        fmt = CallableFormat(str, int)
-        clone = pickle.loads(pickle.dumps(fmt))
-        assert clone.decode("7") == 7
 
 
 class TestResolveFormat:

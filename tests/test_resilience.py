@@ -340,8 +340,6 @@ class TestResumableSpillSort:
             make_sorter(tmp_path / "wd", memory=0)
         with pytest.raises(ValueError):
             make_sorter(tmp_path / "wd", fan_in=1)
-        with pytest.raises(ValueError):
-            make_sorter(tmp_path / "wd", reading="bogus")
 
 
 # ---------------------------------------------------------------------------

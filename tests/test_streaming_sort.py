@@ -6,10 +6,12 @@ import pytest
 from _helpers import files_under
 
 from repro.core.config import RECOMMENDED
+from repro.core.records import FLOAT, INT, STR
 from repro.core.two_way import TwoWayReplacementSelection
 from repro.runs.load_sort_store import LoadSortStore
 from repro.runs.replacement_selection import ReplacementSelection
 from repro.sort.spill import DEFAULT_BUFFER_RECORDS, FileSpillSort
+from repro.testing.faults import FaultInjected, FaultyFormat
 from repro.workloads.generators import make_input, random_input
 
 
@@ -59,21 +61,19 @@ class TestCorrectness:
         sorter = FileSpillSort(
             ReplacementSelection(2),
             tmp_dir=str(tmp_path),
-            encode=repr,
-            decode=float,
+            record_format=FLOAT,
         )
         assert list(sorter.sort(iter(data))) == sorted(data)
 
     def test_string_keys_round_trip_exactly(self, tmp_path):
         # Regression: readers must strip the line terminator before
-        # calling decode — a plain-str decoder used to hand back
-        # records with a trailing newline glued on.
+        # decoding — a plain-str decoder used to hand back records with
+        # a trailing newline glued on.
         data = ["pear", "apple", "fig", "cherry", "banana", "date"]
         sorter = FileSpillSort(
             ReplacementSelection(2),
             tmp_dir=str(tmp_path),
-            encode=str,
-            decode=str,
+            record_format=STR,
         )
         assert list(sorter.sort(iter(data))) == sorted(data)
 
@@ -82,10 +82,6 @@ class TestCorrectness:
             FileSpillSort(ReplacementSelection(10), fan_in=1)
         with pytest.raises(ValueError):
             FileSpillSort(ReplacementSelection(10), buffer_records=0)
-        with pytest.raises(ValueError, match="unknown reading strategy"):
-            # A typo'd strategy must fail at construction, not after
-            # the whole run-generation phase has been spilled.
-            FileSpillSort(ReplacementSelection(10), reading="forcasting")
 
 
 class TestReport:
@@ -174,22 +170,14 @@ class TestCleanup:
     def test_no_temp_files_survive_merge_failure(self, tmp_path):
         # A decode error during the merge phase aborts after the spill
         # files exist and readers are open; cleanup must still run.
-        decoded = 0
-
-        def fragile_decode(line):
-            nonlocal decoded
-            decoded += 1
-            if decoded > 500:
-                raise ValueError("decode died mid-merge")
-            return int(line)
-
         data = list(random_input(2_000, seed=13))
         sorter = FileSpillSort(
             ReplacementSelection(50),
+            buffer_records=16,
             tmp_dir=str(tmp_path),
-            decode=fragile_decode,
+            record_format=FaultyFormat(INT, fail_decode_at=30),
         )
-        with pytest.raises(ValueError, match="decode died"):
+        with pytest.raises(FaultInjected, match="decode fault"):
             list(sorter.sort(iter(data)))
         assert files_under(tmp_path) == []
         assert os.listdir(tmp_path) == []
