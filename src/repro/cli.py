@@ -78,7 +78,7 @@ from repro.engine.block_io import (
     iter_records,
 )
 from repro.engine.errors import SortError
-from repro.engine.resilience import JOURNAL_NAME, atomic_output
+from repro.engine.resilience import JOURNAL_NAME, publish
 from repro.engine.planner import SortEngine, spec_for_format
 from repro.engine.spill_codec import AUTO_CODEC, SPILL_CODECS
 from repro.experiments import EXPERIMENTS
@@ -145,14 +145,14 @@ def _open_output(path: Optional[str]) -> ContextManager[TextIO]:
     """stdout passthrough, or an atomic publish of ``path``.
 
     Every file-bound subcommand (sort, merge, distinct, agg, join,
-    topk) publishes through :func:`~repro.engine.resilience
-    .atomic_output`: the output is written as ``path + ".tmp"`` and
-    renamed into place only after an fsync, so a job killed mid-final-
-    merge never leaves a truncated file at the target path.
+    topk) goes through :func:`~repro.engine.resilience.publish`: the
+    output is written as ``path + ".tmp"`` and renamed into place only
+    after an fsync, so a job killed mid-final-merge never leaves a
+    truncated file at the target path.
     """
     if path is None:
         return nullcontext(sys.stdout)
-    return atomic_output(path)
+    return publish(path)
 
 
 def _durable_work_dir(

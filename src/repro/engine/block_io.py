@@ -57,7 +57,6 @@ deterministic ``CorruptBlockError`` offsets instead.
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from collections.abc import Sequence
@@ -962,39 +961,3 @@ def write_sequence(
         session.spilled(raw_bytes, disk_bytes)
     return writer.written
 
-
-def write_block_file(
-    path: str,
-    records: Iterable[Any],
-    fmt: RecordFormat,
-    block_records: int = DEFAULT_BLOCK_RECORDS,
-    checksum: bool = False,
-    fsync: bool = False,
-    codec: str = "none",
-    session: Optional[Any] = None,
-) -> Tuple[int, int]:
-    """Durable single-file write; returns ``(record_count, file_crc32)``.
-
-    The resilience layer's write primitive: the CRC covers every byte
-    the writer produced (headers included) *before* the operating
-    system or an injected fault had a chance to mangle them, so the
-    journal entry describes the intended file and a later verification
-    pass catches any divergence.  ``fsync=True`` flushes the file to
-    stable storage before returning — a journaled run must never
-    outlive its data.  ``session`` receives byte accounting as in
-    :func:`write_sequence`.
-    """
-    validate_block_records(block_records)
-    with open_run(path, "w", fmt, codec=codec) as handle:
-        writer = BlockWriter(
-            handle, fmt, block_records, checksum=checksum, track_crc=True,
-            codec=codec,
-        )
-        writer.write_all(records)
-        writer.flush()
-        if fsync:
-            handle.flush()
-            os.fsync(handle.fileno())
-    if session is not None:
-        session.spilled(writer.raw_bytes, writer.disk_bytes)
-    return writer.written, writer.file_crc

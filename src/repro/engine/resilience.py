@@ -28,6 +28,11 @@ module adds the durable variant:
   a ``<shard>.ok`` sidecar with the shard's record count and CRC-32.
   On resume the parent verifies the markers and only re-sorts the
   shards that are missing or fail verification.
+* The **durability seam** every layer shares: :func:`sync` (flush +
+  fsync), :func:`publish` (write tmp → sync → rename → directory
+  sync) and :class:`AppendLog` (the JSONL log behind both the sort
+  journal and the store MANIFEST).  Nothing else in the package calls
+  ``os.fsync`` or ``os.replace``; lint rule R003 holds that line.
 
 Everything here verifies before trusting: a journaled artifact is only
 reused after its on-disk bytes re-hash to the recorded CRC-32, so a
@@ -61,15 +66,17 @@ from typing import (
     Sequence,
     TextIO,
     Tuple,
+    Type,
 )
 
 from repro.core.records import INT, RecordFormat
 from repro.engine.block_io import (
+    DEFAULT_BLOCK_RECORDS,
     BlockWriter,
+    open_bytes,
     open_run,
     open_text,
     validate_block_records,
-    write_block_file,
 )
 from repro.engine.errors import JournalError, SortError
 from repro.engine.spill_codec import validate_codec
@@ -87,11 +94,15 @@ from repro.sort.spill import (
 __all__ = [
     "JOURNAL_NAME",
     "MARKER_SUFFIX",
+    "AppendLog",
     "ResumableSpillSort",
     "SortJournal",
-    "atomic_output",
     "file_crc32",
+    "publish",
     "read_marker",
+    "set_sync_hook",
+    "sync",
+    "write_block_file",
     "write_marker",
 ]
 
@@ -127,53 +138,124 @@ def artifact_valid(path: str, records: int, crc: int) -> bool:
         return False
 
 
-def write_marker(path: str, payload: Dict[str, Any]) -> None:
-    """Atomically persist a completion marker (write + fsync + rename).
+# -- the durability seam -------------------------------------------------------
 
-    The rename is the commit point: a crash at any earlier moment
-    leaves no marker, so a half-written shard can never be mistaken
-    for a finished one.
+#: Installed by :func:`set_sync_hook`; called with the file's path
+#: before every fsync.  ``None`` = no hook (production).
+_SYNC_HOOK: Optional[Callable[[str], None]] = None
+
+
+def set_sync_hook(hook: Optional[Callable[[str], None]]) -> None:
+    """Install (or clear, with None) the hook every fsync passes —
+    the fsync twin of :func:`~repro.engine.block_io.set_io_wrapper`,
+    installed only by :func:`repro.testing.faults.activate`."""
+    global _SYNC_HOOK
+    _SYNC_HOOK = hook
+
+
+def _fsync(fd: int, path: str) -> None:
+    hook = _SYNC_HOOK
+    if hook is not None:
+        hook(path)
+    os.fsync(fd)
+
+
+def sync(handle: Any) -> None:
+    """Flush ``handle`` and fsync it — every durable write in the
+    package ends here (DESIGN.md §11).
+
+    A raise is final: the file's state on disk is unknown, so the
+    caller fails the operation and never retries the sync and then
+    acknowledges (the fsync-failure rule).
     """
-    tmp = path + ".tmp"
-    # repro: lint-waive R002 completion markers are recovery metadata; injecting faults here would fake the commit point itself
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    handle.flush()
+    _fsync(handle.fileno(), handle.name)
 
 
 @contextmanager
-def atomic_output(path: str) -> Iterator[TextIO]:
-    """Atomically publish a final output file (write → fsync → rename).
+def publish(path: str) -> Iterator[TextIO]:
+    """Atomically publish a file: write tmp → sync → rename → dir sync.
 
-    The §11 commit-point rule applied to the user-visible output
-    itself: the body writes ``path + ".tmp"`` — through the block-I/O
-    seam, so the fault harness can kill a publish mid-write — and only
-    after a flush and fsync does ``os.replace`` make it visible at
-    ``path``.  A crash, injected fault, or sort error at any earlier
-    moment leaves the target path exactly as it was (absent, or the
-    previous complete output) and removes the partial temp file; a
-    truncated file with exit-looking contents can never appear at the
-    published path.
+    The body writes ``path + ".tmp"`` — through the block-I/O seam, so
+    the fault harness can kill a publish mid-write — and only after a
+    :func:`sync` does ``os.replace`` make it visible at ``path``; the
+    parent directory is then fsynced so the rename itself survives a
+    crash.  A failure at any moment before the rename — open, body,
+    sync or close — closes the handle, removes the temp file and
+    leaves ``path`` as it was (absent, or the previous complete file).
+    A truncated file can never appear at the published path.
     """
     tmp = path + ".tmp"
-    handle = open_text(tmp, "w")
+    handle: Optional[TextIO] = None
     try:
+        handle = open_text(tmp, "w")
         yield handle
+        sync(handle)
+        handle.close()
+        os.replace(tmp, path)
     except BaseException:
         try:
-            handle.close()
+            if handle is not None:
+                handle.close()
         finally:
             try:
                 os.remove(tmp)
             except OSError:
                 pass
         raise
-    handle.flush()
-    os.fsync(handle.fileno())
-    handle.close()
-    os.replace(tmp, path)
+    directory = os.path.dirname(os.path.abspath(path))
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        _fsync(fd, directory)
+    finally:
+        os.close(fd)
+
+
+def write_block_file(
+    path: str,
+    records: Iterable[Any],
+    fmt: RecordFormat,
+    block_records: int = DEFAULT_BLOCK_RECORDS,
+    checksum: bool = False,
+    fsync: bool = False,
+    codec: str = "none",
+    session: Optional[Any] = None,
+) -> Tuple[int, int]:
+    """Durable single-file write; returns ``(record_count, file_crc32)``.
+
+    The resilience layer's write primitive: the CRC covers every byte
+    the writer produced (headers included) *before* the operating
+    system or an injected fault had a chance to mangle them, so the
+    journal entry describes the intended file and a later verification
+    pass catches any divergence.  ``fsync=True`` syncs the file
+    (:func:`sync`) before returning — a journaled run must never
+    outlive its data.  ``session`` receives byte accounting as in
+    :func:`~repro.engine.block_io.write_sequence`.
+    """
+    validate_block_records(block_records)
+    with open_run(path, "w", fmt, codec=codec) as handle:
+        writer = BlockWriter(
+            handle, fmt, block_records, checksum=checksum, track_crc=True,
+            codec=codec,
+        )
+        writer.write_all(records)
+        writer.flush()
+        if fsync:
+            sync(handle)
+    if session is not None:
+        session.spilled(writer.raw_bytes, writer.disk_bytes)
+    return writer.written, writer.file_crc
+
+
+def write_marker(path: str, payload: Dict[str, Any]) -> None:
+    """Atomically persist a completion marker through :func:`publish`.
+
+    The rename is the commit point: a crash at any earlier moment
+    leaves no marker, so a half-written shard can never be mistaken
+    for a finished one.
+    """
+    with publish(path) as handle:
+        handle.write(json.dumps(payload))
 
 
 def read_marker(path: str) -> Optional[Dict[str, Any]]:
@@ -200,7 +282,92 @@ def _wipe_directory(work_dir: str) -> None:
                 pass
 
 
-class SortJournal:
+class AppendLog:
+    """An append-only JSONL log — the sort journal and the store
+    MANIFEST are both one.
+
+    :meth:`load_entries` drops one torn trailing line (a crash
+    mid-append); a torn or non-object line anywhere *else* means the
+    file did not grow append-only, and raises :attr:`error`.
+    :meth:`_open` truncates a torn tail before appending, which would
+    otherwise fuse two entries into one unparseable mid-file line.
+    :meth:`append` returns once the entry is durable; a failed append
+    closes the log for good, so nothing can be appended — and
+    acknowledged — after it (§11's fsync-failure rule).
+    """
+
+    #: Raised when the log cannot be trusted.
+    error: Type[SortError] = JournalError
+    #: What the log is called in error messages.
+    kind = "journal"
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.entries: List[Dict[str, Any]] = []
+        self._handle: Optional[TextIO] = None
+
+    @classmethod
+    def load_entries(cls, path: str) -> List[Dict[str, Any]]:
+        """Every intact entry of the log at ``path``, in order."""
+        with open_text(path) as handle:
+            lines = handle.readlines()
+        entries: List[Dict[str, Any]] = []
+        for number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                if number == len(lines):
+                    break  # torn final append — the crash we planned for
+                raise cls.error(
+                    f"{cls.kind} {path!r} is corrupt at line {number}; it "
+                    f"only ever grows by appending, so damage before the "
+                    f"tail means the file cannot be trusted"
+                ) from None
+            if not isinstance(entry, dict):
+                raise cls.error(
+                    f"{cls.kind} {path!r} line {number} is not an object "
+                    f"— the file is not a {cls.kind}"
+                )
+            entries.append(entry)
+        return entries
+
+    def _open(self) -> None:
+        """Repair a torn tail, then open the log for appending."""
+        try:
+            with open_bytes(self.path, "r+") as repair:
+                data = repair.read()
+                if data and not data.endswith(b"\n"):
+                    repair.truncate(data.rfind(b"\n") + 1)
+        except FileNotFoundError:
+            pass
+        self._handle = open_text(self.path, "a")
+
+    def append(self, entry: Dict[str, Any]) -> None:
+        """Durably record one entry (write, then :func:`sync`)."""
+        assert self._handle is not None, f"{self.path!r} is not open"
+        try:
+            self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            sync(self._handle)
+        except BaseException:
+            self.close()
+            raise
+        self.entries.append(entry)
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self) -> "AppendLog":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+
+class SortJournal(AppendLog):
     """Append-only JSONL run manifest of one durable sort.
 
     The first entry is always ``meta`` carrying the sort's parameter
@@ -210,17 +377,8 @@ class SortJournal:
     different input file, a changed memory budget, a corrupt manifest —
     wipes the work directory and starts fresh, because mixing runs
     from two configurations would merge silently wrong data.
-
-    Every :meth:`append` flushes and fsyncs, and the loader tolerates
-    one torn trailing line (the crash-mid-append case); a torn line
-    anywhere *else* means the file did not grow append-only and the
-    whole journal is rejected.
+    Durability and the torn-tail rule are :class:`AppendLog`'s.
     """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.entries: List[Dict[str, Any]] = []
-        self._handle: Optional[TextIO] = None
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -234,14 +392,14 @@ class SortJournal:
         if resume and os.path.exists(path):
             journal = cls(path)
             try:
-                journal.entries = cls._load(path)
+                journal.entries = cls.load_entries(path)
                 meta = journal.entries[0] if journal.entries else {}
                 if (
                     meta.get("type") == "meta"
                     and meta.get("version") == JOURNAL_VERSION
                     and meta.get("fingerprint") == fingerprint
                 ):
-                    journal._open_append()
+                    journal._open()
                     return journal
             except JournalError:
                 pass
@@ -257,7 +415,7 @@ class SortJournal:
             )
         _wipe_directory(work_dir)
         journal = cls(path)
-        journal._open_append()
+        journal._open()
         journal.append(
             {
                 "type": "meta",
@@ -266,61 +424,6 @@ class SortJournal:
             }
         )
         return journal
-
-    @staticmethod
-    def _load(path: str) -> List[Dict[str, Any]]:
-        entries: List[Dict[str, Any]] = []
-        # repro: lint-waive R002 the journal is the recovery mechanism; wrapping it in the fault seam it arbitrates would be circular
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        for index, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    break  # torn final append — the crash we planned for
-                raise JournalError(
-                    f"journal {path!r} is corrupt at line {index + 1}; "
-                    f"refusing to resume from it"
-                ) from None
-        return entries
-
-    def _open_append(self) -> None:
-        # Repair a torn final append before extending the file: the
-        # loader tolerates (drops) a partial trailing line, but writing
-        # after it would fuse two entries into one unparseable mid-file
-        # line — poisoning the journal for every later resume.
-        try:
-            # repro: lint-waive R002 binary in-place torn-tail repair; open_text has no rb+ mode and must not fault-inject the journal
-            with open(self.path, "rb+") as repair:
-                data = repair.read()
-                if data and not data.endswith(b"\n"):
-                    repair.truncate(data.rfind(b"\n") + 1)
-        except FileNotFoundError:
-            pass
-        # repro: lint-waive R002 journal appends must bypass the seam they make recoverable; close() owns this handle
-        self._handle = open(self.path, "a", encoding="utf-8")
-
-    def append(self, entry: Dict[str, Any]) -> None:
-        """Durably record one entry (write + flush + fsync)."""
-        assert self._handle is not None, "journal is not open for append"
-        self.entries.append(entry)
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "SortJournal":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     # -- queries ---------------------------------------------------------------
 
@@ -336,21 +439,6 @@ class SortJournal:
         return {
             run_id: entry
             for run_id, entry in self._last_by_key("run", "id").items()
-            if artifact_valid(
-                os.path.join(work_dir, entry["file"]),
-                entry["records"],
-                entry["crc32"],
-            )
-        }
-
-    def valid_merges(
-        self, work_dir: str
-    ) -> Dict[Tuple[Any, ...], Dict[str, Any]]:
-        """Journaled intermediate merges whose outputs verify on disk,
-        keyed by the tuple of run ids they consumed."""
-        return {
-            tuple(entry["inputs"]): entry
-            for entry in self._last_by_key("merge", "id").values()
             if artifact_valid(
                 os.path.join(work_dir, entry["file"]),
                 entry["records"],
@@ -748,37 +836,27 @@ class ResumableSpillSort:
                 )
             else:
                 path = self._merge_path(merge_id)
-                with open_run(
-                    path, "w", self.record_format, codec=self.spill_codec
-                ) as handle:
-                    writer = BlockWriter(
-                        handle,
-                        self.record_format,
-                        self.buffer_records,
-                        checksum=self.checksum,
-                        track_crc=True,
-                        codec=self.spill_codec,
-                    )
-                    writer.write_all(
-                        kway_merge([run.records() for run in group], counter)
-                    )
-                    writer.flush()
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                session.spilled(writer.raw_bytes, writer.disk_bytes)
+                count, crc = write_block_file(
+                    path,
+                    kway_merge([run.records() for run in group], counter),
+                    self.record_format,
+                    self.buffer_records,
+                    checksum=self.checksum,
+                    fsync=True,
+                    codec=self.spill_codec,
+                    session=session,
+                )
                 journal.append(
                     {
                         "type": "merge",
                         "id": merge_id,
                         "inputs": list(ids),
                         "file": os.path.basename(path),
-                        "records": writer.written,
-                        "crc32": writer.file_crc,
+                        "records": count,
+                        "crc32": crc,
                     }
                 )
-                out = self._adopt(
-                    session, path, writer.written, f"m{merge_id}"
-                )
+                out = self._adopt(session, path, count, f"m{merge_id}")
             for run in group:
                 try:
                     os.remove(run.path)

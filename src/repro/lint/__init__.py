@@ -14,10 +14,10 @@ R002      fault seam: record block I/O in ``engine``/``sort``/
           ``ops``/``merge`` must go through ``block_io.open_text``,
           never builtin ``open()`` — a bypass silently escapes fault
           injection and CRC checking (PR-4 harness).
-R003      durability order in ``engine.resilience``: fsync before the
-          journal append that references a file, journal append
-          before deleting the inputs it supersedes (DESIGN.md §11
-          write→fsync→journal→delete).
+R003      one durability seam: ``os.fsync``/``os.replace`` only in
+          ``engine.resilience``'s ``sync``/``publish``; a sync before
+          the journal append that references a file, the append
+          before deleting the inputs it supersedes (DESIGN.md §11).
 R004      broker pairing: a ``MemoryBroker`` request must be released
           on every exit path (the PR-1 over-allocation bug).
 R005      spawn picklability: exception classes must round-trip

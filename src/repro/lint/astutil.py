@@ -106,11 +106,12 @@ def name_used_in(node: ast.AST, name: str) -> bool:
 
 
 def call_args_contain_dict_key(call: ast.Call, key: str) -> bool:
-    """True when any literal-dict argument of ``call`` has entry ``key``."""
+    """True when any literal-dict argument of ``call`` has entry ``key``
+    — or may have it: a ``**`` splat (a ``None`` key) counts."""
     for arg in call.args:
         if isinstance(arg, ast.Dict):
             for dict_key in arg.keys:
-                if (
+                if dict_key is None or (
                     isinstance(dict_key, ast.Constant)
                     and dict_key.value == key
                 ):

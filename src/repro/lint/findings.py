@@ -47,7 +47,7 @@ def corpus_logical_path(lines: Sequence[str]) -> str | None:
     """The pretend path a corpus fixture declares, if any.
 
     Corpus snippets exercise path-scoped rules (R002 only fires inside
-    the engine/sort/ops/merge packages, R003 only in resilience.py),
+    the engine/sort/ops/merge packages, R003's order in resilience.py),
     so each fixture names the path it pretends to live at in a header
     comment: ``# repro-lint-corpus: src/repro/engine/example.py``.
     """

@@ -1,41 +1,29 @@
-"""R003 — the §11 durability order in ``engine.resilience`` and the store.
+"""R003 — one durability seam, and the §11 order around it.
 
-DESIGN.md §11's crash-consistency invariant is a strict order per
-artifact: **write → fsync → journal append → delete inputs**.  The
-journal must never claim a file that is not durable yet (a crash right
-after the append would resume from a manifest describing bytes the
-page cache lost), and a merge's inputs must never disappear before the
-journal entry that supersedes them exists (a crash in between loses
-both the inputs and the proof the output covers them).
+Every durable write goes through the seam in ``engine/resilience.py``
+(DESIGN.md §11), so the first check is one call: ``os.fsync`` outside
+the seam's ``_fsync``, or ``os.replace`` outside ``publish``, is a
+finding.  A hand-written fsync escapes the fault harness and the
+fsync-failure rule; a hand-written rename is the un-fsynced or
+half-cleaned publish the seam exists to prevent.
 
-The same order governs ``repro/store/``: a flush or compaction fsyncs
-its SSTable before the MANIFEST append that makes it live, and deletes
-superseded WALs/tables only after that append.
-
-Statically, within each function of a ``resilience`` module or a
-store module:
+The order around the seam is the caller's to keep — **write → sync →
+journal append → delete inputs** — and is checked within each
+function of a ``resilience`` module or a store module:
 
 * a journal/manifest ``append`` whose entry literal carries a
-  ``"file"`` key (i.e. references an on-disk artifact) must be
-  preceded — in source order — by a durability event: an ``os.fsync``
-  call, any call passing a literal ``fsync=True``
-  (``write_block_file``, the store's ``write_table``), or a
-  ``write_marker`` call (which fsyncs internally);
+  ``"file"`` key (or a ``**`` splat that may carry one) must be
+  preceded — in source order — by a durability event: a ``sync``
+  call, a ``write_marker`` call, or any call passing a literal
+  ``fsync=True`` (``write_block_file``, the store's ``write_table``);
 * once such an append exists in a function, any ``os.remove`` /
   ``unlink`` in that function must come *after* an append — deleting
-  first would reorder the invariant;
-* every ``os.replace`` — the atomic-publish commit point used by both
-  the ``.ok`` shard markers and the final-output publish
-  (:func:`~repro.engine.resilience.atomic_output`) — must be preceded,
-  in source order, by a durability event in the same function.
-  Renaming an un-fsynced temp file into place publishes a name whose
-  bytes the page cache may still lose, which is exactly the truncated-
-  output bug the publish path exists to prevent.
+  first would reorder the invariant.
 
 Appends without a ``"file"`` key (``meta``, ``runs_done``) reference
-no artifact and are exempt.  Source order is an approximation of
-control flow — precise enough for the straight-line journal code this
-rule guards, and the corpus locks both directions.
+no artifact and are exempt.  Source order approximates control flow —
+precise enough for the straight-line journal code this rule guards,
+and the corpus locks both directions.
 """
 
 from __future__ import annotations
@@ -45,7 +33,6 @@ import posixpath
 from typing import List
 
 from repro.lint.astutil import (
-    Scope,
     call_args_contain_dict_key,
     dotted,
     iter_scopes,
@@ -56,20 +43,12 @@ from repro.lint.registry import FileContext, rule
 
 _DELETERS = ("remove", "unlink")
 
-
-def _in_scope(logical_path: str) -> bool:
-    path = logical_path.replace("\\", "/")
-    if "tests/" in path:
-        return False
-    return (
-        posixpath.basename(path) == "resilience.py"
-        or "repro/store/" in path
-    )
+#: The seam: the one function allowed to make each raw call.
+_SEAM = {"os.fsync": "_fsync", "os.replace": "publish"}
 
 
-def _is_fsync_event(call: ast.Call) -> bool:
-    name = last_component(call.func)
-    if name in ("fsync", "write_marker"):
+def _is_durability_event(call: ast.Call) -> bool:
+    if last_component(call.func) in ("sync", "write_marker"):
         return True
     # Any helper taking a literal ``fsync=True`` keyword —
     # ``write_block_file``, the store's ``write_table`` — declares
@@ -96,54 +75,54 @@ def _is_journal_append(call: ast.Call) -> bool:
 
 @rule("R003")
 def check_durability_order(ctx: FileContext) -> List[Finding]:
-    if not _in_scope(ctx.logical_path):
+    path = ctx.logical_path.replace("\\", "/")
+    if "tests/" in path:
         return []
+    in_resilience = posixpath.basename(path) == "resilience.py"
+    check_order = in_resilience or "repro/store/" in path
     findings: List[Finding] = []
     for scope in iter_scopes(ctx.tree):
-        if isinstance(scope.node, ast.ClassDef):
-            continue
-        fsyncs: List[int] = []
+        events: List[int] = []
         file_appends: List[int] = []
         deletes: List[int] = []
-        replaces: List[int] = []
         for node in scope.nodes():
             if not isinstance(node, ast.Call):
                 continue
-            if _is_fsync_event(node):
-                fsyncs.append(node.lineno)
+            raw = dotted(node.func)
+            if raw in _SEAM:
+                if not (in_resilience and scope.name == _SEAM[raw]):
+                    findings.append(
+                        Finding(
+                            ctx.path,
+                            node.lineno,
+                            "R003",
+                            f"{raw} outside the durability seam — use "
+                            f"resilience.sync / resilience.publish, which "
+                            f"the fsync-failure rule and the fault "
+                            f"harness cover (§11)",
+                        )
+                    )
+            elif _is_durability_event(node):
+                events.append(node.lineno)
             elif _is_journal_append(node) and call_args_contain_dict_key(
                 node, "file"
             ):
                 file_appends.append(node.lineno)
             elif last_component(node.func) in _DELETERS:
                 deletes.append(node.lineno)
-            elif dotted(node.func) == "os.replace":
-                replaces.append(node.lineno)
-        for line in replaces:
-            if not any(fsync_line < line for fsync_line in fsyncs):
-                findings.append(
-                    Finding(
-                        ctx.path,
-                        line,
-                        "R003",
-                        "os.replace publishes a file with no preceding "
-                        "fsync in this function — the rename makes a "
-                        "name visible whose bytes the page cache may "
-                        "still lose (§11 write→fsync→rename publish "
-                        "order)",
-                    )
-                )
+        if not check_order or isinstance(scope.node, ast.ClassDef):
+            continue
         for line in file_appends:
-            if not any(fsync_line < line for fsync_line in fsyncs):
+            if not any(event < line for event in events):
                 findings.append(
                     Finding(
                         ctx.path,
                         line,
                         "R003",
                         "journal append records a file with no preceding "
-                        "fsync in this function — the manifest would "
+                        "sync in this function — the manifest would "
                         "claim bytes the OS may not have persisted "
-                        "(§11 write→fsync→journal order)",
+                        "(§11 write→sync→journal order)",
                     )
                 )
         if file_appends:

@@ -3,7 +3,7 @@
 This is the CLI subcommand bodies re-expressed as a library call: the
 runner builds the engine(s) for a :class:`~repro.service.jobs.JobSpec`,
 streams the operator, and publishes the result atomically
-(:func:`~repro.engine.resilience.atomic_output`).  Every job runs
+(:func:`~repro.engine.resilience.publish`).  Every job runs
 *durably* — its work directory rides the §11 sort journal — so a job
 killed with the server resumes from its surviving runs when the same
 spec (same id) is submitted again.
@@ -31,7 +31,7 @@ from repro.engine.block_io import (
     iter_records,
 )
 from repro.engine.planner import SortEngine
-from repro.engine.resilience import atomic_output
+from repro.engine.resilience import publish
 from repro.ops import Distinct, GroupByAggregate, SortMergeJoin, TopK
 from repro.ops.base import CountingIterator, report_as_dict
 from repro.service.jobs import STORE_OPS, JobSpec
@@ -166,7 +166,7 @@ def run_job(
     outcome = JobOutcome()
     # repro: lint-waive R002 job input is user data at the service boundary (the CLI reads it the same way); spill I/O below it is seamed
     with open(spec.input, "r", encoding="utf-8") as handle, \
-            atomic_output(result_path) as out:
+            publish(result_path) as out:
         records = _cancellable(
             iter_records(
                 handle, engine.record_format, DEFAULT_BLOCK_RECORDS,
@@ -241,7 +241,7 @@ def _run_join(
     # repro: lint-waive R002 join inputs are user data at the service boundary; spill I/O below is seamed
     with open(spec.input, "r", encoding="utf-8") as left_handle, \
             open(spec.right_input, "r", encoding="utf-8") as right_handle, \
-            atomic_output(result_path) as out:
+            publish(result_path) as out:
         left_records = _cancellable(
             iter_records(
                 left_handle, left_engine.record_format,
@@ -321,12 +321,12 @@ def _run_store(
                 "compacted_tables": store.compacted_tables,
                 "compacted_bytes": store.compacted_bytes,
             }
-            with atomic_output(result_path) as out:
+            with publish(result_path) as out:
                 json.dump(outcome.report, out, sort_keys=True)
                 out.write("\n")
         elif spec.op == "store_scan":
             count = 0
-            with atomic_output(result_path) as out:
+            with publish(result_path) as out:
                 items = _cancellable(store.scan(), cancel, job_id)
                 for key, value in items:
                     out.write(format_item(key, value) + "\n")
@@ -340,7 +340,7 @@ def _run_store(
             summary["output"] = name
             outcome.records_out = summary["table_records"]
             outcome.report = summary
-            with atomic_output(result_path) as out:
+            with publish(result_path) as out:
                 json.dump(summary, out, sort_keys=True)
                 out.write("\n")
     finally:

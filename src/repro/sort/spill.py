@@ -33,7 +33,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 from repro.core.records import INT, RecordFormat
 from repro.engine.errors import SortError
 from repro.engine.block_io import (
-    BlockWriter,
     open_run,
     read_blocks,
     write_sequence,
@@ -243,19 +242,12 @@ def merge_group_to_file(
     the engine's file merge.
     """
     path = session.spill_path()
-    with open_run(path, "w", record_format, codec=session.codec) as out:
-        writer = BlockWriter(
-            out, record_format, buffer_records, checksum=session.checksum,
-            codec=session.codec,
-        )
-        writer.write_all(
-            kway_merge([run.records() for run in group], counter)
-        )
-        writer.flush()
-    session.spilled(writer.raw_bytes, writer.disk_bytes)
-    return SpilledRun(
-        session, path, writer.written, record_format, buffer_records
+    length = write_sequence(
+        path, kway_merge([run.records() for run in group], counter),
+        record_format, buffer_records, checksum=session.checksum,
+        codec=session.codec, session=session,
     )
+    return SpilledRun(session, path, length, record_format, buffer_records)
 
 
 def merge_spilled_runs(
@@ -456,26 +448,28 @@ class FileSpillSort:
         both required before a durable completion marker may be
         written for the file.
         """
-        with open_run(
-            path, "w", self.record_format, codec=self.spill_codec
-        ) as out:
-            writer = BlockWriter(
-                out, self.record_format, self.buffer_records,
-                checksum=self.checksum, track_crc=track_crc,
-                codec=self.spill_codec,
-            )
-            writer.write_all(self.sort(records))
-            writer.flush()
-            if fsync:
-                out.flush()
-                os.fsync(out.fileno())
-        self.last_output_crc = writer.file_crc if track_crc else None
+        # Imported here: resilience builds on this module.
+        from repro.engine.resilience import write_block_file
+
+        length, crc = write_block_file(
+            path,
+            self.sort(records),
+            self.record_format,
+            self.buffer_records,
+            checksum=self.checksum,
+            fsync=fsync,
+            codec=self.spill_codec,
+            session=self,
+        )
+        self.last_output_crc = crc if track_crc else None
+        return length
+
+    def spilled(self, raw_bytes: int, disk_bytes: int) -> None:
+        """Count :meth:`sort_to_path`'s output file as spill traffic:
+        the parent merge reads a shard file back exactly like a run."""
         if self.report is not None:
-            # The shard file is spill traffic too: the parent merge
-            # reads it back exactly like a run.
-            self.report.spill_raw_bytes += writer.raw_bytes
-            self.report.spill_disk_bytes += writer.disk_bytes
-        return writer.written
+            self.report.spill_raw_bytes += raw_bytes
+            self.report.spill_disk_bytes += disk_bytes
 
     # -- internals -----------------------------------------------------------------
 

@@ -1,10 +1,10 @@
 """The store MANIFEST (DESIGN.md §17).
 
 The manifest is the store's single source of truth for which tables
-are live: an append-only JSONL file following the §11 journal rules —
-every append is flushed and fsynced, a torn trailing line (crash
-mid-append) is tolerated and repaired, a torn line anywhere *else*
-rejects the file.  Entry types:
+are live: an :class:`~repro.engine.resilience.AppendLog`, the same
+JSONL log as the sort journal — every append is flushed and fsynced,
+a torn trailing line (crash mid-append) is tolerated and repaired, a
+torn line anywhere *else* rejects the file.  Entry types:
 
 * ``meta`` — first line; schema version + store fingerprint.
 * ``flush`` — a memtable became table ``file`` at level 0; carries
@@ -17,8 +17,9 @@ rejects the file.  Entry types:
   meeting their puts), in which case there is no ``file`` key.
 * ``state`` — a checkpoint: the full live-table list at rewrite time.
   :meth:`StoreManifest.checkpoint` rewrites the log as ``meta`` +
-  ``state`` via write → fsync → ``os.replace`` — the §11 publish
-  order, and the "manifest swap" fault point the fault matrix kills.
+  ``state`` through :func:`~repro.engine.resilience.publish` — the
+  §11 publish order, and the "manifest swap" fault point the fault
+  matrix kills.
 
 Replaying the entries in order reproduces the live-table set, the WAL
 floor and the highest allocated filenum; nothing else on disk is
@@ -29,10 +30,10 @@ interrupted flushes/compactions and are deleted on open.
 from __future__ import annotations
 
 import json
-import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.engine.errors import ManifestError
+from repro.engine.resilience import AppendLog, publish
 
 __all__ = [
     "MANIFEST_NAME",
@@ -47,13 +48,16 @@ MANIFEST_NAME = "MANIFEST"
 MANIFEST_VERSION = 1
 
 
-class StoreManifest:
-    """Append-only manifest of one store directory."""
+class StoreManifest(AppendLog):
+    """Append-only manifest of one store directory (an :class:`AppendLog`)."""
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.entries: List[Dict[str, Any]] = []
-        self._handle: Optional[Any] = None
+    error = ManifestError
+    kind = "manifest"
+
+    # Bound on this class, not only inherited, so per-class
+    # instrumentation (perfbench wraps ``StoreManifest.append``) sees
+    # manifest appends and only those.
+    append = AppendLog.append
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -63,7 +67,7 @@ class StoreManifest:
     ) -> "StoreManifest":
         """Initialise a brand-new manifest (caller checked the dir)."""
         manifest = cls(path)
-        manifest._open_append()
+        manifest._open()
         manifest.append(
             {
                 "type": "meta",
@@ -79,7 +83,7 @@ class StoreManifest:
     ) -> "StoreManifest":
         """Open an existing manifest, validating version + fingerprint."""
         manifest = cls(path)
-        manifest.entries = cls._load(path)
+        manifest.entries = cls.load_entries(path)
         meta = manifest.entries[0] if manifest.entries else {}
         if meta.get("type") != "meta" or "version" not in meta:
             raise ManifestError(
@@ -98,69 +102,16 @@ class StoreManifest:
                 f"{meta.get('fingerprint')!r}, not {fingerprint!r} — "
                 f"refusing to touch another format's data"
             )
-        manifest._open_append()
+        manifest._open()
         return manifest
-
-    @staticmethod
-    def _load(path: str) -> List[Dict[str, Any]]:
-        entries: List[Dict[str, Any]] = []
-        # repro: lint-waive R002 the manifest is the recovery mechanism; wrapping it in the fault seam it arbitrates would be circular
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        for index, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    break  # torn final append — the crash we planned for
-                raise ManifestError(
-                    f"manifest {path!r} is corrupt at line {index + 1}; "
-                    f"a store manifest only ever grows by appending, so "
-                    f"damage before the tail means the file cannot be "
-                    f"trusted"
-                ) from None
-            if not isinstance(entry, dict):
-                raise ManifestError(
-                    f"manifest {path!r} line {index + 1} is not an "
-                    f"object — the file is not a store manifest"
-                )
-            entries.append(entry)
-        return entries
-
-    def _open_append(self) -> None:
-        # Repair a torn final append before extending the file — same
-        # reasoning as SortJournal: appending after a partial line
-        # would fuse two entries into one unparseable mid-file line.
-        try:
-            # repro: lint-waive R002 binary in-place torn-tail repair; open_bytes has no rb+ mode and must not fault-inject the manifest
-            with open(self.path, "rb+") as repair:
-                data = repair.read()
-                if data and not data.endswith(b"\n"):
-                    repair.truncate(data.rfind(b"\n") + 1)
-        except FileNotFoundError:
-            pass
-        # repro: lint-waive R002 manifest appends must bypass the seam they make recoverable; close() owns this handle
-        self._handle = open(self.path, "a", encoding="utf-8")
-
-    def append(self, entry: Dict[str, Any]) -> None:
-        """Durably record one entry (write + flush + fsync)."""
-        assert self._handle is not None, "manifest is not open for append"
-        self.entries.append(entry)
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
 
     def checkpoint(self) -> None:
         """Rewrite the log compactly: meta + one ``state`` entry.
 
-        This is the manifest *swap*: the replacement is written beside
-        the live file, fsynced, and published with ``os.replace`` — a
-        crash at any earlier point leaves the old (longer but valid)
-        manifest untouched.
+        This is the manifest *swap*, a :func:`publish` over the live
+        file — a crash at any earlier point leaves the old (longer but
+        valid) manifest untouched.
         """
-        assert self._handle is not None, "manifest is not open"
         tables, wal_floor, _ = replay_entries(self.path, self.entries)
         compacted: List[Dict[str, Any]] = [
             self.entries[0],
@@ -170,29 +121,16 @@ class StoreManifest:
                 "wal_floor": wal_floor,
             },
         ]
-        tmp = self.path + ".tmp"
-        # repro: lint-waive R002 manifest checkpoint is recovery metadata; injecting faults here would fake the commit point itself
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for entry in compacted:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._handle.close()
-        self._handle = None
-        os.replace(tmp, self.path)
-        self.entries = compacted
-        self._open_append()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "StoreManifest":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
         self.close()
+        with publish(self.path) as handle:
+            handle.write(
+                "".join(
+                    json.dumps(entry, sort_keys=True) + "\n"
+                    for entry in compacted
+                )
+            )
+        self.entries = compacted
+        self._open()
 
 
 def replay_entries(

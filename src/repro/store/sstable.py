@@ -44,6 +44,7 @@ from repro.engine.block_io import (
     read_framed_block,
 )
 from repro.engine.errors import StoreError
+from repro.engine.resilience import sync
 from repro.engine.spill_codec import CODEC_IDS, validate_codec
 from repro.store.format import STORE_FORMAT
 
@@ -162,9 +163,8 @@ def write_table(
         )
         handle.write(index_body)
         handle.write(footer)
-        handle.flush()
         if fsync:
-            os.fsync(handle.fileno())
+            sync(handle)
     finally:
         handle.close()
     return TableInfo(

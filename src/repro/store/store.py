@@ -19,6 +19,12 @@ comes from the WAL, and making recovery-by-replay the normal reopen
 path means the crash path is exercised constantly, not only in fault
 tests.
 
+**A failed log write is final.**  Once a WAL or MANIFEST write or
+sync has raised, every later write raises :class:`StoreError` until
+the store is reopened: after a failed fsync the dirty pages may be
+gone, so a retry that "succeeds" would acknowledge lost writes (§11's
+fsync-failure rule).  Reopening recovers what reached the disk.
+
 **Reads.**  ``get`` consults the memtable first (always newest), then
 every table whose key range covers the key; among candidates the
 smallest meta wins — the §17 inverted-seqno layout makes "newest"
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import os
 import re
+from contextlib import contextmanager
 from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -65,6 +72,7 @@ from repro.store.memtable import Memtable
 from repro.store.sstable import (
     TABLE_VERSION,
     SSTableReader,
+    TableInfo,
     write_table,
 )
 from repro.store.wal import WalWriter, replay_wal
@@ -98,6 +106,22 @@ def _discard(path: str) -> None:
         os.remove(path)
     except OSError:
         pass
+
+
+def _table_record(
+    name: str, filenum: int, level: int, info: TableInfo
+) -> Dict[str, Any]:
+    """A live table's manifest fields (what :func:`replay_entries` keeps)."""
+    return {
+        "file": name,
+        "filenum": filenum,
+        "level": level,
+        "records": info.records,
+        "crc32": info.crc32,
+        "min_key": info.min_key.hex(),
+        "max_key": info.max_key.hex(),
+        "max_seqno": info.max_seqno,
+    }
 
 
 class Store:
@@ -140,6 +164,8 @@ class Store:
         self._next_filenum = 0
         self._next_seqno = 1
         self._wal_floor = 0
+        #: Why writes are refused, once a WAL/MANIFEST step has failed.
+        self._failed: Optional[str] = None
         try:
             self._open()
         except BaseException:
@@ -302,6 +328,24 @@ class Store:
         if self._wal is None:
             raise StoreError(f"store {self.path!r} is closed")
 
+    def _check_writable(self) -> None:
+        self._check_open()
+        if self._failed is not None:
+            raise StoreError(
+                f"store {self.path!r} refuses writes after a failed log "
+                f"write ({self._failed}); close and reopen it to "
+                f"recover what reached the disk"
+            )
+
+    @contextmanager
+    def _log_step(self) -> Iterator[None]:
+        """A WAL or MANIFEST step: a failure refuses all later writes."""
+        try:
+            yield
+        except BaseException as exc:
+            self._failed = repr(exc)
+            raise
+
     # -- writes ----------------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
@@ -313,7 +357,7 @@ class Store:
         self._apply(TOMBSTONE_BYTE, TOMBSTONE, key, b"")
 
     def _apply(self, op: int, op_byte: bytes, key: bytes, value: bytes) -> None:
-        self._check_open()
+        self._check_writable()
         if not isinstance(key, bytes) or not isinstance(value, bytes):
             raise TypeError("store keys and values are bytes")
         if self._next_seqno >= SEQNO_MAX:
@@ -321,7 +365,8 @@ class Store:
         assert self._wal is not None
         seqno = self._next_seqno
         self._next_seqno += 1
-        self._wal.append(op, seqno, key, value)
+        with self._log_step():
+            self._wal.append(op, seqno, key, value)
         self.wal_bytes += len(key) + len(value) + 29
         self._memtable.apply(op_byte, seqno, key, value)
         if len(self._memtable) >= self.memory:
@@ -380,7 +425,7 @@ class Store:
         with the memtable and WAL intact, so nothing acknowledged is
         lost.
         """
-        self._check_open()
+        self._check_writable()
         assert self._manifest is not None and self._wal is not None
         if len(self._memtable) == 0:
             return None
@@ -406,35 +451,19 @@ class Store:
         old_wal = self._wal
         self._wal = WalWriter(self._wal_path(new_wal_num), sync=self.sync)
         name = os.path.basename(table_path)
-        self._manifest.append(
-            {
-                "type": "flush",
-                "file": name,
-                "filenum": table_num,
-                "level": 0,
-                "records": info.records,
-                "crc32": info.crc32,
-                "min_key": info.min_key.hex(),
-                "max_key": info.max_key.hex(),
-                "max_seqno": info.max_seqno,
-                "wal_floor": new_wal_num,
-            }
-        )
-        old_wal.close()
+        record = _table_record(name, table_num, 0, info)
+        with self._log_step():
+            try:
+                self._manifest.append(
+                    {"type": "flush", **record, "wal_floor": new_wal_num}
+                )
+            finally:
+                old_wal.close()
         for num in range(self._wal_floor, new_wal_num):
             _discard(self._wal_path(num))
         self._wal_floor = new_wal_num
         self._memtable = Memtable()
-        self._tables[name] = {
-            "file": name,
-            "filenum": table_num,
-            "level": 0,
-            "records": info.records,
-            "crc32": info.crc32,
-            "min_key": info.min_key.hex(),
-            "max_key": info.max_key.hex(),
-            "max_seqno": info.max_seqno,
-        }
+        self._tables[name] = record
         self._readers[name] = self._open_reader(name)
         self.flushed_tables += 1
         self.flushed_bytes += info.disk_bytes
@@ -563,28 +592,15 @@ class Store:
                         f"read-back verification; compaction aborted "
                         f"with all input tables intact"
                     )
+            # With no output, everything annihilated (tombstones met
+            # their puts in a full merge): the compaction still commits.
+            record: Dict[str, Any] = {}
             if info is not None:
                 out_name = os.path.basename(self._table_path(out_num))
+                record = _table_record(out_name, out_num, out_level, info)
+            with self._log_step():
                 self._manifest.append(
-                    {
-                        "type": "compact",
-                        "file": out_name,
-                        "filenum": out_num,
-                        "level": out_level,
-                        "records": info.records,
-                        "crc32": info.crc32,
-                        "min_key": info.min_key.hex(),
-                        "max_key": info.max_key.hex(),
-                        "max_seqno": info.max_seqno,
-                        "removes": list(input_files),
-                    }
-                )
-            else:
-                # Everything annihilated (tombstones met their puts in
-                # a full merge): the compaction still commits — it just
-                # has no output table.
-                self._manifest.append(
-                    {"type": "compact", "removes": list(input_files)}
+                    {"type": "compact", **record, "removes": list(input_files)}
                 )
         finally:
             for reader in intermediates:
@@ -595,16 +611,7 @@ class Store:
             del self._tables[name]
             _discard(os.path.join(self.path, name))
         if out_name is not None and info is not None:
-            self._tables[out_name] = {
-                "file": out_name,
-                "filenum": out_num,
-                "level": out_level,
-                "records": info.records,
-                "crc32": info.crc32,
-                "min_key": info.min_key.hex(),
-                "max_key": info.max_key.hex(),
-                "max_seqno": info.max_seqno,
-            }
+            self._tables[out_name] = record
             self._readers[out_name] = self._open_reader(out_name)
             self.compacted_tables += 1
             self.compacted_bytes += info.disk_bytes
@@ -669,19 +676,23 @@ class Store:
         """Release the directory.  Does *not* flush the memtable —
         buffered writes are already durable in the WAL and reopen by
         replay (the module docstring explains why this is deliberate).
+        Readers, the MANIFEST and the lock are released even when the
+        WAL's final sync raises; the error still propagates.
         """
-        if self._wal is not None:
-            self._wal.close()
-            self._wal = None
-        for reader in self._readers.values():
-            reader.close()
-        self._readers = {}
-        if self._manifest is not None:
-            self._manifest.close()
-            self._manifest = None
-        if self._lock_handle is not None:
-            self._lock_handle.close()
-            self._lock_handle = None
+        wal, self._wal = self._wal, None
+        try:
+            if wal is not None:
+                wal.close()
+        finally:
+            for reader in self._readers.values():
+                reader.close()
+            self._readers = {}
+            if self._manifest is not None:
+                self._manifest.close()
+                self._manifest = None
+            if self._lock_handle is not None:
+                self._lock_handle.close()
+                self._lock_handle = None
 
     def __enter__(self) -> "Store":
         return self

@@ -28,13 +28,13 @@ Replay distinguishes the two ways a WAL can be damaged:
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from typing import Any, Iterator, Tuple
 
 from repro.engine.block_io import open_bytes
 from repro.engine.errors import StoreError
+from repro.engine.resilience import sync
 
 __all__ = ["WAL_MAGIC", "WalWriter", "replay_wal"]
 
@@ -67,14 +67,16 @@ class WalWriter:
 
     def sync(self) -> None:
         """Flush and fsync — everything appended so far is durable."""
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        sync(self._handle)
 
     def close(self) -> None:
+        """Sync and close; the handle is released even if the sync raises."""
         if self._handle is not None:
-            self.sync()
-            self._handle.close()
-            self._handle = None
+            try:
+                self.sync()
+            finally:
+                self._handle.close()
+                self._handle = None
 
 
 def _valid_frame_at(data: bytes, pos: int) -> bool:

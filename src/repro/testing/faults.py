@@ -11,18 +11,21 @@ matching block-I/O call:
   and the sort *continues* (latent media corruption, caught later by
   block checksums);
 * ``truncate`` — the call and every later matching one silently drop
-  their payload / report end-of-file (a lost file tail).
+  their payload / report end-of-file (a lost file tail);
+* ``enospc`` — a full disk: half the payload reaches the file, then
+  the call raises with ``errno.ENOSPC`` (writes and fsyncs only).
 
 Injection is *deterministic*: calls are counted per process in call
-order, filtered by operation (``open`` / ``read`` / ``write``) and an
-optional path substring, so a failing case reproduces from its plan
-alone.  Activation installs a wrapper on the single
-:func:`repro.engine.block_io.open_text` seam every backend opens its
-spill, shard and partition files through — no backend code is patched
-— and mirrors the plan into the ``REPRO_FAULT_PLAN`` environment
-variable so ``spawn`` worker processes of the parallel backend (and
-``repro.cli`` subprocesses) inherit the same schedule and fault their
-own I/O at the same deterministic points.
+order, filtered by operation (``open`` / ``read`` / ``write`` /
+``fsync``) and an optional path substring, so a failing case
+reproduces from its plan alone.  Activation wraps the
+:func:`repro.engine.block_io.open_text` seam every file is opened
+through and hooks the :func:`repro.engine.resilience.sync` seam every
+fsync passes (a ``raise`` there carries ``errno.EIO``) — no backend
+code is patched — and mirrors the plan into the ``REPRO_FAULT_PLAN``
+environment variable so ``spawn`` worker processes of the parallel
+backend (and ``repro.cli`` subprocesses) inherit the same schedule
+and fault their own I/O at the same deterministic points.
 
 :class:`FaultyFormat` is the record-format twin for unit tests that
 want a decode/encode failure mid-merge without real files.
@@ -30,6 +33,7 @@ want a decode/encode failure mid-merge without real files.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from contextlib import contextmanager
@@ -39,6 +43,7 @@ from typing import Any, Iterator, List, Optional, Sequence, TextIO
 from repro.core.records import RecordFormat
 from repro.engine.block_io import set_io_wrapper
 from repro.engine.errors import SortError
+from repro.engine.resilience import set_sync_hook
 
 __all__ = [
     "FAULT_PLAN_ENV",
@@ -56,10 +61,10 @@ __all__ = [
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: Operations a plan can target.
-FAULT_OPS = ("open", "read", "write")
+FAULT_OPS = ("open", "read", "write", "fsync")
 
 #: Failure modes a plan can inject.
-FAULT_KINDS = ("raise", "short_write", "bit_flip", "truncate")
+FAULT_KINDS = ("raise", "short_write", "bit_flip", "truncate", "enospc")
 
 
 class FaultInjected(SortError, OSError):
@@ -79,14 +84,15 @@ class FaultPlan:
     Parameters
     ----------
     op:
-        Which block-I/O operation to count: ``"open"``, ``"read"``
-        (one line handed to a reader) or ``"write"`` (one buffered
-        block or header flushed).
+        Which I/O operation to count: ``"open"``, ``"read"`` (one line
+        handed to a reader), ``"write"`` (one buffered block or header
+        flushed) or ``"fsync"`` (file or directory).
     nth:
         1-based index of the matching call that faults.
     kind:
-        ``"raise"``, ``"short_write"``, ``"bit_flip"`` or
-        ``"truncate"`` (see the module docstring).
+        ``"raise"``, ``"short_write"``, ``"bit_flip"``, ``"truncate"``
+        or ``"enospc"`` (see the module docstring); ``fsync`` takes
+        only ``raise`` and ``enospc``.
     path_substring:
         Only calls on files whose path contains this substring are
         counted (empty = every file).  ``"run-"`` targets spill runs,
@@ -110,6 +116,12 @@ class FaultPlan:
             )
         if self.nth < 1:
             raise ValueError(f"nth must be >= 1, got {self.nth}")
+        if (self.op == "fsync" and self.kind not in ("raise", "enospc")) or (
+            self.kind == "enospc" and self.op not in ("write", "fsync")
+        ):
+            raise ValueError(
+                f"kind {self.kind!r} does not apply to op {self.op!r}"
+            )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -223,9 +235,11 @@ class FaultyFile:
                     f"injected write fault ({state.plan.describe()}) "
                     f"on {self._path!r}"
                 )
-            if kind == "short_write":
+            if kind in ("short_write", "enospc"):
                 self._handle.write(text[: len(text) // 2])
                 self._handle.flush()
+                if kind == "enospc":
+                    raise _errno_fault(state, self._path, "disk full")
                 raise FaultInjected(
                     f"injected torn write ({state.plan.describe()}) "
                     f"on {self._path!r}"
@@ -307,6 +321,20 @@ class FaultyFile:
 _ACTIVE: Optional[FaultState] = None
 
 
+def _errno_fault(state: FaultState, path: str, what: str) -> FaultInjected:
+    code = errno.ENOSPC if state.plan.kind == "enospc" else errno.EIO
+    return FaultInjected(
+        code, f"injected {what} ({state.plan.describe()}) on {path!r}"
+    )
+
+
+def _check_sync(path: str) -> None:
+    """The sync-seam hook: fail the plan's Nth matching fsync."""
+    state = _ACTIVE
+    if state is not None and state.due("fsync", path):
+        raise _errno_fault(state, path, "fsync failure")
+
+
 def _wrap(handle: TextIO, path: str, mode: str) -> TextIO:
     state = _ACTIVE
     if state is None:  # pragma: no cover - unhooked race guard
@@ -324,14 +352,16 @@ def _install(plan: FaultPlan) -> FaultState:
     state = FaultState(plan)
     _ACTIVE = state
     set_io_wrapper(_wrap)
+    set_sync_hook(_check_sync)
     return state
 
 
 def deactivate() -> None:
-    """Remove the active plan, the I/O wrapper and the environment relay."""
+    """Remove the active plan, the I/O hooks and the environment relay."""
     global _ACTIVE
     _ACTIVE = None
     set_io_wrapper(None)
+    set_sync_hook(None)
     os.environ.pop(FAULT_PLAN_ENV, None)
 
 
@@ -339,7 +369,7 @@ def deactivate() -> None:
 def activate(plan: FaultPlan) -> Iterator[FaultState]:
     """Arm ``plan`` for this process *and* any child it spawns.
 
-    The plan is installed on the block-I/O seam and exported through
+    The plan is installed on the I/O and sync seams and exported through
     ``REPRO_FAULT_PLAN``, so parallel-sort workers (fresh ``spawn``
     processes) arm themselves on startup with their own independent
     call counters.  Yields the :class:`FaultState` for assertions;

@@ -1,10 +1,10 @@
 # repro-lint-corpus: src/repro/engine/resilience.py
 # expect: none
-"""Known-good §11 order: write → fsync → journal append → delete inputs."""
+"""Known-good §11 order: write → sync → journal append → delete inputs."""
 
 
-def merge_group(journal, out_path, inputs, fd):
-    os.fsync(fd)
+def merge_group(journal, out_path, inputs, handle):
+    sync(handle)
     journal.append({"type": "merge", "file": out_path})
     for path in inputs:
         os.remove(path)

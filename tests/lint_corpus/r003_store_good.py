@@ -3,7 +3,8 @@
 """Known-good store order: the table is written with a literal
 ``fsync=True`` before the MANIFEST append that makes it live, and
 superseded WALs are deleted only after; an annihilating compaction
-appends no ``file`` key and needs no fsync."""
+appends no ``file`` key and needs no fsync; the WAL syncs through
+the seam."""
 
 
 def flush(manifest, table_path, wal_path, entries):
@@ -16,3 +17,7 @@ def flush(manifest, table_path, wal_path, entries):
 
 def annihilating_compact(manifest, inputs):
     manifest.append({"type": "compact", "removes": inputs})
+
+
+def wal_sync(handle):
+    sync(handle)

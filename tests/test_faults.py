@@ -14,6 +14,7 @@ sweep is marked ``stress`` and runs in the dedicated CI job
 like the property sweep does from ``REPRO_PROPERTY_SEED``.
 """
 
+import errno
 import os
 import random
 
@@ -25,6 +26,7 @@ from repro.core.config import GeneratorSpec
 from repro.core.records import INT
 from repro.engine.block_io import open_text
 from repro.engine.errors import SortError
+from repro.engine.resilience import sync
 from repro.merge.kway import kway_merge
 from repro.sort.spill import FileSpillSort
 from repro.testing import faults
@@ -54,6 +56,10 @@ class TestFaultPlan:
             FaultPlan(op="write", nth=1, kind="explode")
         with pytest.raises(ValueError):
             FaultPlan(op="write", nth=0, kind="raise")
+        # fsync takes only raise/enospc; enospc only writes and fsyncs.
+        for op, kind in [("fsync", "bit_flip"), ("read", "enospc")]:
+            with pytest.raises(ValueError, match="does not apply"):
+                FaultPlan(op=op, nth=1, kind=kind)
 
     def test_json_round_trip(self):
         plan = FaultPlan(op="read", nth=7, kind="bit_flip",
@@ -149,6 +155,41 @@ class TestFaultyFile:
         assert state.leaked() == ["b"]
         b.close()
         assert state.leaked() == []
+
+    def test_enospc_write_tears_payload_with_errno(self, tmp_path):
+        plan = FaultPlan(op="write", nth=1, kind="enospc")
+        f, path, _ = self.faulty(tmp_path, plan)
+        with pytest.raises(FaultInjected) as info:
+            f.write("0123456789")
+        f.close()
+        assert info.value.errno == errno.ENOSPC
+        assert path.read_text() == "01234"
+
+
+class TestSyncSeamFaults:
+    """``op="fsync"`` counts :func:`repro.engine.resilience.sync` calls."""
+
+    @pytest.mark.parametrize(
+        "kind, code", [("raise", errno.EIO), ("enospc", errno.ENOSPC)]
+    )
+    def test_nth_matching_fsync_fails(self, tmp_path, kind, code):
+        plan = FaultPlan(op="fsync", nth=2, kind=kind,
+                         path_substring="victim")
+        with activate(plan) as state:
+            with open_text(str(tmp_path / "other.txt"), "w") as handle:
+                sync(handle)  # path does not match; never counted
+            with open_text(str(tmp_path / "victim.txt"), "w") as handle:
+                handle.write("1\n")
+                sync(handle)
+                with pytest.raises(FaultInjected) as info:
+                    sync(handle)
+                sync(handle)  # one plan, one fault
+            assert state.calls == 2 and state.fired
+            assert state.leaked() == []
+        assert info.value.errno == code
+        # Disarmed: the seam is a plain fsync again.
+        with open(tmp_path / "victim.txt", "a", encoding="utf-8") as handle:
+            sync(handle)
 
 
 class TestActivation:
@@ -329,6 +370,14 @@ def run_matrix_case(
     assert code == 1, (
         "faulted sort must fail cleanly (exit 1): " + stress_case(**case)
     )
+    assert not out.exists(), "partial output escaped: " + stress_case(**case)
+    assert not [p for p in files_under(tmp_path) if p.endswith(".tmp")], (
+        "faulted sort leaked a temp file: " + stress_case(**case)
+    )
+    if workers == 1:
+        assert state.leaked() == [], (
+            "faulted sort leaked handles: " + stress_case(**case)
+        )
     work_dir = tmp_path / "out.txt.sortwork"
     assert work_dir.is_dir(), (
         "durable failure must keep its work dir: " + stress_case(**case)
@@ -353,6 +402,21 @@ SERIAL_FAULTS = [
     FaultPlan(op="write", nth=6, kind="truncate", path_substring="run-"),
     FaultPlan(op="read", nth=120, kind="raise", path_substring="run-"),
     FaultPlan(op="open", nth=4, kind="raise", path_substring="run-"),
+]
+
+#: Failed fsyncs and a full disk at the durable sort's three commit
+#: artifacts: a run file, the journal, and (parallel) a shard marker.
+DURABILITY_FAULTS = [
+    FaultPlan(op="fsync", nth=2, kind="raise", path_substring="run-"),
+    FaultPlan(op="write", nth=4, kind="enospc", path_substring="run-"),
+    FaultPlan(op="fsync", nth=3, kind="raise", path_substring="sort.journal"),
+    FaultPlan(op="fsync", nth=1, kind="enospc", path_substring="sort.journal"),
+    FaultPlan(op="write", nth=2, kind="enospc", path_substring="sort.journal"),
+]
+
+MARKER_FAULTS = [
+    FaultPlan(op="fsync", nth=1, kind="raise", path_substring=".ok"),
+    FaultPlan(op="write", nth=1, kind="enospc", path_substring=".ok"),
 ]
 
 PARALLEL_FAULTS = [
@@ -389,6 +453,21 @@ class TestFaultMatrixSmoke:
 
     def test_parallel_binary_shard_fault(self, tmp_path):
         run_matrix_case(tmp_path, "int", 2, PARALLEL_FAULTS[0], binary=True)
+
+
+class TestDurabilityFaultMatrix:
+    """fsync failures and ENOSPC: a clean failure, no stray temp file,
+    and a ``--resume`` byte-identical to the fault-free run."""
+
+    @pytest.mark.parametrize("plan", DURABILITY_FAULTS,
+                             ids=lambda p: p.describe())
+    def test_serial(self, tmp_path, plan):
+        run_matrix_case(tmp_path, "int", 1, plan)
+
+    @pytest.mark.parametrize("plan", MARKER_FAULTS,
+                             ids=lambda p: p.describe())
+    def test_parallel_shard_marker(self, tmp_path, plan):
+        run_matrix_case(tmp_path, "int", 2, plan)
 
 
 CODECS_UNDER_TEST = ["zlib", "lzma", "front", "front+zlib"]

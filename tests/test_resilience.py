@@ -15,12 +15,7 @@ import pytest
 
 from _helpers import sha256_file
 from repro.core.records import INT, STR
-from repro.engine.block_io import (
-    BlockWriter,
-    open_text,
-    read_blocks,
-    write_block_file,
-)
+from repro.engine.block_io import BlockWriter, open_text, read_blocks
 from repro.engine.errors import CorruptBlockError, JournalError, SortError
 from repro.engine.planner import SortEngine
 from repro.engine.resilience import (
@@ -30,6 +25,7 @@ from repro.engine.resilience import (
     artifact_valid,
     file_crc32,
     read_marker,
+    write_block_file,
     write_marker,
 )
 from repro.core.config import GeneratorSpec
@@ -175,7 +171,7 @@ class TestSortJournal:
         text[0] = "garbage{{{"
         (tmp_path / JOURNAL_NAME).write_text("\n".join(text) + "\n")
         with pytest.raises(JournalError):
-            SortJournal._load(str(tmp_path / JOURNAL_NAME))
+            SortJournal.load_entries(str(tmp_path / JOURNAL_NAME))
         # open_dir recovers by starting fresh instead of crashing.
         journal = SortJournal.open_dir(work, FINGERPRINT, resume=True)
         journal.close()

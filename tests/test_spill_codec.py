@@ -19,7 +19,6 @@ from repro.engine.block_io import (
     iter_records,
     open_run,
     read_blocks,
-    write_block_file,
     write_sequence,
 )
 from repro.engine.errors import CorruptBlockError
@@ -28,7 +27,11 @@ from repro.engine.planner import (
     _resolve_codec,
     plan_sort,
 )
-from repro.engine.resilience import ResumableSpillSort, SortJournal
+from repro.engine.resilience import (
+    ResumableSpillSort,
+    SortJournal,
+    write_block_file,
+)
 from repro.engine.spill_codec import (
     AUTO_CODEC,
     SPILL_CODECS,

@@ -336,7 +336,7 @@ class TestManifest:
         loaded = StoreManifest.load(path, FP)
         loaded.append(table_record("sst-00000001.sst", 1))
         loaded.close()
-        tables, _, _ = replay_entries(path, StoreManifest._load(path))
+        tables, _, _ = replay_entries(path, StoreManifest.load_entries(path))
         assert set(tables) == {"sst-00000001.sst"}
 
     def test_mid_file_corruption_rejected(self, tmp_path):
