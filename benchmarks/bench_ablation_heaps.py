@@ -1,17 +1,20 @@
-"""Ablation: the shared-array DoubleHeap vs two independent heaps.
+"""Ablation: the shared-array DoubleHeap vs two heaps with one capacity.
 
-DESIGN.md calls out the single-array layout (Section 4.1, Figure 4.3)
-as a design choice: it lets either heap grow at the other's expense
-without dynamic allocation.  This bench measures the Python-level
-throughput of the two layouts under the 2WRS access pattern (interleaved
-pushes and pops on both sides) to document the layout's overhead, and
-verifies they compute identical results.
+The paper's single-array layout (Section 4.1, Figure 4.3) lets either
+heap grow at the other's expense without dynamic allocation.  In Python
+the layout buys nothing: what matters is the shared capacity, and
+production 2WRS keeps that rule on two C ``heapq`` lists
+(:class:`~repro.heaps.double_heap.HeapqDoubleHeap`), while
+:class:`~repro.heaps.double_heap.DoubleHeap` stays as the Figure 4.3
+reference and test oracle.  This bench measures the three layouts
+under the 2WRS access pattern (interleaved pushes and pops on both
+sides) and verifies they compute identical results.
 """
 
 import random
 
 from repro.heaps.binary_heap import MaxHeap, MinHeap
-from repro.heaps.double_heap import DoubleHeap
+from repro.heaps.double_heap import DoubleHeap, HeapqDoubleHeap
 
 OPS = 20_000
 CAPACITY = 2_048
@@ -53,6 +56,22 @@ def _run_two_heaps(values) -> float:
     return total
 
 
+def _run_heapq_kernel(values) -> float:
+    heaps = HeapqDoubleHeap(CAPACITY)
+    total = 0.0
+    for i, value in enumerate(values):
+        if heaps.is_full:
+            pop = heaps.pop_bottom if len(heaps.bottom) else heaps.pop_top
+            total += pop()[1]
+        if value < 0.5:
+            heaps.push_bottom(0, value)
+        else:
+            heaps.push_top(0, value)
+        if i % 3 == 0 and len(heaps.top):
+            total += heaps.pop_top()[1]
+    return total
+
+
 def test_bench_double_heap_layout(benchmark):
     values = _workload(42)
     result = benchmark(_run_double_heap, values)
@@ -62,4 +81,10 @@ def test_bench_double_heap_layout(benchmark):
 def test_bench_two_heap_layout(benchmark):
     values = _workload(42)
     result = benchmark(_run_two_heaps, values)
+    assert result == _run_double_heap(values)
+
+
+def test_bench_heapq_kernel_layout(benchmark):
+    values = _workload(42)
+    result = benchmark(_run_heapq_kernel, values)
     assert result == _run_double_heap(values)

@@ -8,6 +8,12 @@ seconds, speedup vs the baseline, sha256 output digests — all settings
 must produce byte-identical output) go to ``BENCH_blockio.json`` at the
 repo root.
 
+The ``generator_sweep`` section sorts four datasets (random, reverse,
+alternating, mixed) on the default text path with each run generator
+(2WRS, RS, LSS) and records runs, merge passes, run-generation wall,
+total wall and the output digest: the place where 2WRS's longer runs
+remove whole merge passes, or do not.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_block_io.py \
@@ -36,7 +42,7 @@ from repro.core.records import (
     resolve_format,
 )
 from repro.engine.planner import SortEngine
-from repro.workloads.generators import random_input
+from repro.workloads.generators import DISTRIBUTIONS, random_input
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_blockio.json"
 
@@ -49,6 +55,12 @@ PR3_BLOCK_BASELINE_SECONDS = 3.559
 PR3_BASELINE_RECORDS = 500_000
 
 
+#: Run generators and datasets of the ``generator_sweep`` section.
+GENERATORS = ("2wrs", "rs", "lss")
+GENERATOR_DATASETS = ("random", "reverse_sorted", "alternating",
+                      "mixed_balanced")
+
+
 def run_once(
     records: int,
     memory: int,
@@ -57,8 +69,9 @@ def run_once(
     block_records: int,
     record_format,
     seed: int,
+    dataset: str = "random",
 ) -> dict:
-    """One full sort; returns wall time and an output digest."""
+    """One full sort; returns wall times, runs and an output digest."""
     engine = SortEngine(
         GeneratorSpec(algorithm, memory),
         record_format=record_format,
@@ -66,7 +79,7 @@ def run_once(
         buffer_records=block_records,
         block_records=block_records,
     )
-    source = random_input(records, seed=seed)
+    source = DISTRIBUTIONS[dataset](records, seed=seed)
     normalize_wall = None
     if isinstance(record_format, BinaryRecordFormat):
         # The binary path sorts (key bytes, payload bytes) records.
@@ -89,6 +102,8 @@ def run_once(
     assert count == records, f"lost records: {count} != {records}"
     row = {
         "wall_seconds": round(wall, 3),
+        "run_generation_seconds": round(engine.report.run_phase.wall_time, 3),
+        "runs": engine.report.runs,
         "merge_passes": engine.merge_passes,
         "sha256": digest.hexdigest(),
     }
@@ -291,9 +306,31 @@ def main(argv: Optional[List[str]] = None) -> int:
         flush=True,
     )
 
+    generator_rows = []
+    for dataset in GENERATOR_DATASETS:
+        for algorithm in GENERATORS:
+            print(f"generators: {algorithm} on {dataset} ...", flush=True)
+            row = run_once(
+                **{**common, "algorithm": algorithm}, block_records=4096,
+                record_format=INT, dataset=dataset,
+            )
+            row["dataset"] = dataset
+            row["algorithm"] = algorithm
+            generator_rows.append(row)
+            print(f"  runs={row['runs']} passes={row['merge_passes']} "
+                  f"run_gen={row['run_generation_seconds']}s "
+                  f"wall={row['wall_seconds']}s", flush=True)
+    generator_digests = {
+        dataset: {r["sha256"] for r in generator_rows
+                  if r["dataset"] == dataset}
+        for dataset in GENERATOR_DATASETS
+    }
+
     digests = {r["sha256"] for r in [baseline, *block_rows, *binary_rows]}
     identical = (
         len(digests) == 1
+        and all(len(d) == 1 for d in generator_digests.values())
+        and generator_digests["random"] == digests
         and merge_text["sha256"] == merge_binary["sha256"]
         and delimited_rows["text"]["sha256"]
         == delimited_rows["binary"]["sha256"]
@@ -335,6 +372,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "binary_sweep": binary_rows,
         "delimited": delimited_rows,
         "merge_only": {"text": merge_text, "binary": merge_binary},
+        "generator_sweep": generator_rows,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")

@@ -178,11 +178,14 @@ class FloatRecord(float):
 
     Comparison, equality, hashing and arithmetic are exactly
     ``float``'s — the text is cargo, not identity.  ``-0.0`` and
-    ``0.0`` (or ``1e3`` and ``1000.0``) still compare *equal*, so
-    every backend orders equal values stably (input order under the
-    stable in-memory sorts, stream order under the merge heap's
-    index tiebreak) and output stays byte-identical across backends
-    and with plain-float inputs from API callers.
+    ``0.0`` (or ``1e3`` and ``1000.0``) still compare *equal*, so the
+    order of an equal-value group is whatever order the run generator
+    leaves it in.  That order is deterministic, and text and binary
+    spill produce identical bytes for one algorithm, but it is *not*
+    input order in general: the heap-based generators (2WRS, RS)
+    reorder equal values, and different algorithms emit different
+    spellings first.  Only ``lss`` (stable in-memory run sorts plus
+    the merge heap's stream-index tiebreak) keeps input order.
     """
 
     __slots__ = ("text",)
@@ -474,10 +477,10 @@ class KeyOnlyRecord:
 
     Scalar floats are the one built-in format where records with
     *equal* keys can carry different payloads (``-0.0`` vs ``0.0``,
-    ``1e3`` vs ``1000.0``) while the text path orders them *stably*:
-    equal values compare equal, so the stable in-memory sorts keep
-    input order and the merge heap falls through to its stream-index
-    tiebreak.  A plain ``(key, payload)`` tuple would tiebreak on the
+    ``1e3`` vs ``1000.0``) while the text path never tie-breaks them
+    by spelling: equal values compare equal, so their order is the
+    one the run generator and the merge heap's stream-index tiebreak
+    leave.  A plain ``(key, payload)`` tuple would tiebreak on the
     payload bytes and diverge from that order, so float binary
     records compare, hash and equate by their key bytes alone — the
     payload rides along for the output stage, exactly like

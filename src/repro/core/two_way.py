@@ -7,8 +7,9 @@ algorithm captures decreasing trends as well as increasing ones:
   like classic RS;
 * the **BottomHeap** (a max-heap) releases a decreasing stream, turning
   reverse-sorted input from RS's worst case into a single run;
-* both heaps share one fixed array (:class:`~repro.heaps.double_heap.
-  DoubleHeap`) so either may grow at the other's expense;
+* both heaps share one capacity (:class:`~repro.heaps.double_heap.
+  HeapqDoubleHeap`, two C ``heapq`` lists of ``(run, key)`` tuples) so
+  either may grow at the other's expense;
 * an **input buffer** samples the input for the routing heuristics;
 * a **victim buffer** captures records that fall in the value gap
   between the two released streams and would otherwise be pushed to the
@@ -59,8 +60,7 @@ from repro.core.heuristics import (
 from repro.core.input_buffer import InputBuffer
 from repro.core.streams import RunStreams
 from repro.core.victim_buffer import VictimBuffer, VictimPhase
-from repro.heaps.double_heap import DoubleHeap, HeapSide
-from repro.heaps.run_heap import TaggedRecord, bottom_before, top_before
+from repro.heaps.double_heap import HeapqDoubleHeap
 from repro.runs.base import RunGenerator, log_cost
 
 
@@ -111,23 +111,6 @@ class TwoWayReplacementSelection(RunGenerator):
         self.last_input_buffer = state.source
         yield from state.run()
 
-    # -- internals -------------------------------------------------------------------
-
-    def _rebalance(self, heaps: DoubleHeap[TaggedRecord]) -> None:
-        """Equalise heap sizes at a run boundary (Balancing heuristic).
-
-        At a boundary every record in memory belongs to the incoming
-        run, so records can migrate between the heaps freely.
-        """
-        while abs(len(heaps.top) - len(heaps.bottom)) > 1:
-            src, dst = (
-                (heaps.top, heaps.bottom)
-                if len(heaps.top) > len(heaps.bottom)
-                else (heaps.bottom, heaps.top)
-            )
-            self.stats.cpu_ops += log_cost(len(src)) + log_cost(len(dst) + 1)
-            dst.push(src.pop())
-
 
 class _RunState:
     """Mutable execution state of one ``generate_run_streams`` call."""
@@ -142,9 +125,7 @@ class _RunState:
         self.output_heuristic = make_output_heuristic(algo.config.output_heuristic)
         self.source = InputBuffer(records, algo.input_buffer_capacity)
         self.victim = VictimBuffer(algo.victim_buffer_capacity)
-        self.heaps: DoubleHeap[TaggedRecord] = DoubleHeap(
-            algo.heap_capacity, bottom_before, top_before
-        )
+        self.heaps = HeapqDoubleHeap(algo.heap_capacity)
         self.current_run = 0
         self.streams = RunStreams(0)
         self._reset_run_state()
@@ -171,30 +152,37 @@ class _RunState:
         # mean/median/sample lazily, only if the configured heuristic
         # actually reads them (the buffer memoizes per generation).
         heaps = self.heaps
+        top_head = heaps.peek_top()
+        bottom_head = heaps.peek_bottom()
         return HeuristicContext(
             rng=self.rng,
             top_size=len(heaps.top),
             bottom_size=len(heaps.bottom),
             top_outputs=self.outputs_top,
             bottom_outputs=self.outputs_bottom,
-            top_head=heaps.top.peek().key if heaps.top else None,
-            bottom_head=heaps.bottom.peek().key if heaps.bottom else None,
+            top_head=top_head[1] if top_head is not None else None,
+            bottom_head=bottom_head[1] if bottom_head is not None else None,
             stats=self.source,
             first_output=self.first_output,
         )
 
-    def side_of(self, side: Side) -> HeapSide[TaggedRecord]:
-        return self.heaps.top if side is Side.TOP else self.heaps.bottom
+    def push(self, side: Side, run: int, value: Any) -> None:
+        heaps = self.heaps
+        if side is Side.TOP:
+            self.stats.cpu_ops += log_cost(len(heaps.top) + 1)
+            heaps.push_top(run, value)
+        else:
+            self.stats.cpu_ops += log_cost(len(heaps.bottom) + 1)
+            heaps.push_bottom(run, value)
 
-    def push(self, side: Side, record: TaggedRecord) -> None:
-        heap_side = self.side_of(side)
-        self.stats.cpu_ops += log_cost(len(heap_side) + 1)
-        heap_side.push(record)
-
-    def pop(self, side: Side) -> TaggedRecord:
-        heap_side = self.side_of(side)
-        self.stats.cpu_ops += log_cost(len(heap_side))
-        return heap_side.pop()
+    def pop(self, side: Side) -> Any:
+        """Pop ``side``'s head record (its run is the current one)."""
+        heaps = self.heaps
+        if side is Side.TOP:
+            self.stats.cpu_ops += log_cost(len(heaps.top))
+            return heaps.pop_top()[1]
+        self.stats.cpu_ops += log_cost(len(heaps.bottom))
+        return heaps.pop_bottom()[1]
 
     def top_releasable(self, value: Any) -> bool:
         """Can ``value`` legally extend stream 1 right now?"""
@@ -248,11 +236,10 @@ class _RunState:
         self.next_top_min = None
         heaps = self.heaps
         while len(heaps) > 0:
-            top_ready = bool(heaps.top) and heaps.top.peek().run == self.current_run
-            bottom_ready = (
-                bool(heaps.bottom)
-                and heaps.bottom.peek().run == self.current_run
-            )
+            top = heaps.peek_top()
+            bottom = heaps.peek_bottom()
+            top_ready = top is not None and top[0] == self.current_run
+            bottom_ready = bottom is not None and bottom[0] == self.current_run
 
             if not top_ready and not bottom_ready:
                 # doubleHeap.nextRun: everything in memory belongs to the
@@ -303,7 +290,7 @@ class _RunState:
             if value is None:
                 break
             self.stats.records_in += 1
-            self.push(self._route_disjoint(value), TaggedRecord(0, value))
+            self.push(self._route_disjoint(value), 0, value)
 
     def _finish_run(self, final: bool = False) -> Optional[RunStreams]:
         """Flush the victim, emit the run, and reset per-run state."""
@@ -324,8 +311,19 @@ class _RunState:
         self.input_heuristic.on_run_start()
         self.output_heuristic.on_run_start()
         if self.input_heuristic.wants_rebalance:
-            self.algo._rebalance(self.heaps)
+            self._rebalance()
         return finished
+
+    def _rebalance(self) -> None:
+        """Equalise heap sizes at a run boundary (Balancing heuristic).
+
+        At a boundary every record in memory belongs to the incoming
+        run, so records can migrate between the heaps freely.
+        """
+        heaps = self.heaps
+        while abs(len(heaps.top) - len(heaps.bottom)) > 1:
+            larger = Side.TOP if len(heaps.top) > len(heaps.bottom) else Side.BOTTOM
+            self.push(larger.other, self.current_run, self.pop(larger))
 
     def _output_step(self, top_ready: bool, bottom_ready: bool) -> bool:
         """Pop one record and place it somewhere.
@@ -341,8 +339,7 @@ class _RunState:
             out_side = Side.TOP
         else:
             out_side = Side.BOTTOM
-        record = self.pop(out_side)
-        value = record.key
+        value = self.pop(out_side)
         if self.first_output is None:
             self.first_output = value
 
@@ -377,7 +374,7 @@ class _RunState:
             else self.bottom_releasable(value)
         )
         if other_ok:
-            self.push(other, record)
+            self.push(other, self.current_run, value)
             return False
         # ...or capture it in the victim's gap...
         if self.victim.fits(value):
@@ -387,7 +384,7 @@ class _RunState:
                 self._commit_middle(to3, to2)
             return True
         # ...or concede it to the next run.
-        self.push(self._route_disjoint(value), TaggedRecord(self.current_run + 1, value))
+        self.push(self._route_disjoint(value), self.current_run + 1, value)
         return False
 
     def _read_step(self) -> None:
@@ -421,4 +418,4 @@ class _RunState:
             # Fits neither heap nor victim: next run.
             in_side = self._route_disjoint(value)
             run = self.current_run + 1
-        self.push(in_side, TaggedRecord(run, value))
+        self.push(in_side, run, value)

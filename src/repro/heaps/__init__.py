@@ -10,7 +10,7 @@ from repro.heaps.binary_heap import (
     parent_index,
     right_child_index,
 )
-from repro.heaps.double_heap import DoubleHeap, HeapSide
+from repro.heaps.double_heap import DoubleHeap, HeapqDoubleHeap, HeapSide
 from repro.heaps.heapsort import heapsort, heapsort_inplace
 from repro.heaps.run_heap import BottomRunHeap, TaggedRecord, TopRunHeap
 
@@ -21,6 +21,7 @@ __all__ = [
     "HeapEmptyError",
     "HeapFullError",
     "HeapSide",
+    "HeapqDoubleHeap",
     "MaxHeap",
     "MinHeap",
     "TaggedRecord",

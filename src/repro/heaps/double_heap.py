@@ -1,4 +1,4 @@
-"""Two heaps sharing one fixed array (Section 4.1, Figures 4.2-4.5).
+"""Two heaps sharing one capacity (Section 4.1, Figures 4.2-4.5).
 
 2WRS keeps a *BottomHeap* and a *TopHeap* in a single statically
 allocated array so that one heap can grow at the expense of the other
@@ -10,12 +10,18 @@ index ``capacity - 1 - i``).
 
 :class:`DoubleHeap` exposes the combined structure; :class:`HeapSide`
 gives each heap the familiar push/pop/peek interface while sharing the
-backing array.
+backing array.  Both are the Figure 4.3 reference: every sift step is
+interpreted Python, so production 2WRS runs on :class:`HeapqDoubleHeap`
+instead — two C ``heapq`` lists of run-tagged tuples bound by one
+shared capacity, which keeps the rule that matters (either side grows
+at the other's expense) without the index arithmetic.  The tests drive
+:class:`DoubleHeap` through the same interface as the oracle.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generic, List, Optional, TypeVar
+from heapq import heappop, heappush
+from typing import Any, Callable, Generic, List, Optional, Tuple, TypeVar
 
 from repro.heaps.binary_heap import (
     HeapEmptyError,
@@ -218,3 +224,86 @@ class DoubleHeap(Generic[T]):
         if len(self) > self._capacity:
             return False
         return self.bottom.check_invariant() and self.top.check_invariant()
+
+
+class _Desc:
+    """Reverses the order of a key that cannot be negated."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Any) -> None:
+        self.key = key
+
+    def __lt__(self, other: "_Desc") -> bool:
+        return other.key < self.key
+
+
+class HeapqDoubleHeap:
+    """The 2WRS heaps as two C ``heapq`` lists with one shared capacity.
+
+    Entries are ``(run, key)`` tuples, so records of the next run sink
+    below every record of the current run and C tuple comparison does
+    the whole ordering.  ``top`` pops ascending keys.  ``bottom`` pops
+    descending keys: it stores ``(run, -key)`` while every key it has
+    seen is exactly ``int`` or ``float`` (exact, sign of zero included),
+    and ``(run, _Desc(key))`` from the first key of any other type on
+    (a ``FloatRecord`` negates to a plain float and would lose its
+    spelling).  Push and pop take and return plain ``(run, key)``.
+
+    The structure is full when ``len(top) + len(bottom) >= capacity``.
+    """
+
+    __slots__ = ("capacity", "top", "bottom", "_negated")
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 0:
+            raise ValueError(f"capacity must be non-negative, got {capacity}")
+        self.capacity = capacity
+        self.top: List[Tuple[int, Any]] = []
+        self.bottom: List[Tuple[int, Any]] = []
+        self._negated = True
+
+    def __len__(self) -> int:
+        return len(self.top) + len(self.bottom)
+
+    @property
+    def is_full(self) -> bool:
+        return len(self.top) + len(self.bottom) >= self.capacity
+
+    def push_top(self, run: int, key: Any) -> None:
+        if len(self.top) + len(self.bottom) >= self.capacity:
+            raise HeapFullError(f"double heap is at capacity {self.capacity}")
+        heappush(self.top, (run, key))
+
+    def push_bottom(self, run: int, key: Any) -> None:
+        if len(self.top) + len(self.bottom) >= self.capacity:
+            raise HeapFullError(f"double heap is at capacity {self.capacity}")
+        if self._negated:
+            kind = type(key)
+            if kind is int or kind is float:
+                heappush(self.bottom, (run, -key))
+                return
+            self._wrap_bottom()
+        heappush(self.bottom, (run, _Desc(key)))
+
+    def pop_top(self) -> Tuple[int, Any]:
+        return heappop(self.top)
+
+    def pop_bottom(self) -> Tuple[int, Any]:
+        run, entry = heappop(self.bottom)
+        return run, (-entry if self._negated else entry.key)
+
+    def peek_top(self) -> Optional[Tuple[int, Any]]:
+        return self.top[0] if self.top else None
+
+    def peek_bottom(self) -> Optional[Tuple[int, Any]]:
+        if not self.bottom:
+            return None
+        run, entry = self.bottom[0]
+        return run, (-entry if self._negated else entry.key)
+
+    def _wrap_bottom(self) -> None:
+        # (run, -k) and (run, _Desc(k)) order alike, so the rewritten
+        # list is still a heap and needs no re-heapify.
+        self.bottom = [(run, _Desc(-entry)) for run, entry in self.bottom]
+        self._negated = False

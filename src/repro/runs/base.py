@@ -16,17 +16,20 @@ time Python itself).
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, List
 
 
 def log_cost(n: int) -> int:
-    """Analytic cost of one traversal of a heap holding ``n`` records."""
+    """Analytic cost of one traversal of a heap holding ``n`` records.
+
+    ``ceil(log2(n))``, computed exactly on the integer: the float form
+    rounds ``log2(2**49 + 1)`` down to 49.
+    """
     if n <= 1:
         return 1
-    return int(math.ceil(math.log2(n)))
+    return (n - 1).bit_length()
 
 
 @dataclass(slots=True)

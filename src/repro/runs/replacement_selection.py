@@ -14,14 +14,18 @@ on reverse-sorted input runs of exactly the memory size (Theorems 1, 3).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List
+from heapq import heappop, heappush, heapreplace
+from typing import Any, Iterable, Iterator, List, Tuple
 
-from repro.heaps.run_heap import TaggedRecord, TopRunHeap
 from repro.runs.base import RunGenerator, log_cost
 
 
 class ReplacementSelection(RunGenerator):
     """Replacement selection over a single min-heap.
+
+    The heap is a C ``heapq`` list of ``(run, key)`` tuples: tuple
+    comparison is exactly the run-then-key order of Section 3.3, with
+    no Python call per sift step.
 
     Parameters
     ----------
@@ -36,36 +40,36 @@ class ReplacementSelection(RunGenerator):
         stats = self.stats
         stream = iter(records)
 
-        heap: TopRunHeap = TopRunHeap(capacity=self.memory_capacity)
+        capacity = self.memory_capacity
+        heap: List[Tuple[int, Any]] = []
         for value in stream:
             stats.records_in += 1
             stats.cpu_ops += log_cost(len(heap) + 1)
-            heap.push(TaggedRecord(0, value))
-            if heap.is_full:
+            heappush(heap, (0, value))
+            if len(heap) >= capacity:
                 break
 
         current_run = 0
         out: List[Any] = []
         while heap:
-            top = heap.peek()
-            if top.run != current_run:
+            run, next_output = heap[0]
+            if run != current_run:
                 # Top belongs to the next run => all of memory does.
                 yield out
                 stats.note_run(len(out))
                 out = []
-                current_run = top.run
-            next_output = top.key
+                current_run = run
             out.append(next_output)
             stats.cpu_ops += log_cost(len(heap))
             try:
                 value = next(stream)
             except StopIteration:
-                heap.pop()
+                heappop(heap)
                 continue
             stats.records_in += 1
             run = current_run + 1 if value < next_output else current_run
-            # pop + insert fused into a single sift-down (heap.replace).
-            heap.replace(TaggedRecord(run, value))
+            # pop + insert fused into a single sift (heapreplace).
+            heapreplace(heap, (run, value))
         if out:
             yield out
             stats.note_run(len(out))

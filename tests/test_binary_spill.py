@@ -143,20 +143,45 @@ class TestFloatKeyOrder:
         got = sorted(out.decode("utf-8").splitlines())
         assert got == sorted(corpus)
 
-    def test_negative_zero_group_matches_text_path_exactly(self, tmp_path):
+    @pytest.mark.parametrize("algorithm", ["2wrs", "rs", "lss"])
+    def test_negative_zero_group_matches_text_path_exactly(
+        self, tmp_path, algorithm
+    ):
         """All spellings of zero are one equal-key group; the binary
         path must emit that group in exactly the text path's order —
         the bug class the key codec's ``-0.0`` canonicalisation fixes
-        (IEEE bytes would split the group: ``-0.0`` before ``0.0``)."""
+        (IEEE bytes would split the group: ``-0.0`` before ``0.0``).
+        The order is per algorithm: each run generator may order an
+        equal group differently, text and binary never do."""
         corpus = ["-0.0", "7.0", "0.0", "-7.0", "0.0", "-0.0"] * 5
-        text = cli_sort(tmp_path, corpus, "--format", "float", name="t")
+        text = cli_sort(tmp_path, corpus, "--format", "float",
+                        "--algorithm", algorithm, name="t")
         binary = cli_sort(tmp_path, corpus, "--format", "float",
-                          "--binary-spill", name="b")
+                          "--algorithm", algorithm, "--binary-spill",
+                          name="b")
         zeros = [line for line in binary.decode("utf-8").splitlines()
                  if float(line) == 0.0]
         assert zeros == [line for line in text.decode("utf-8").splitlines()
                          if float(line) == 0.0]
         assert sorted(zeros) == ["-0.0"] * 10 + ["0.0"] * 10
+
+    @pytest.mark.parametrize("algorithm", ["2wrs", "rs", "lss"])
+    def test_spelling_groups_match_text_path_exactly(self, tmp_path, algorithm):
+        """Twin of the zero group for ``v``/``v.0``/``ve0``/``v.00``
+        spellings of one value: deterministic, and text and binary
+        spill agree byte for byte within one algorithm."""
+        corpus = [spelling.format(v) for v in (3, 1, 2) * 6
+                  for spelling in ("{}", "{}.0", "{}e0", "{}.00")]
+        runs = [
+            cli_sort(tmp_path, corpus, "--format", "float",
+                     "--algorithm", algorithm, *extra, name=name)
+            for name, extra in (("t", []), ("b", ["--binary-spill"]),
+                                ("t2", []))
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        out = runs[0].decode("utf-8").splitlines()
+        assert [float(line) for line in out] == sorted(map(float, corpus))
+        assert sorted(out) == sorted(corpus)
 
     @pytest.mark.skipif(GNU_SORT is None, reason="GNU sort not installed")
     def test_infinities_agree_with_gnu_sort_g(self, tmp_path):

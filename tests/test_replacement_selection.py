@@ -1,13 +1,19 @@
 """Tests for classic replacement selection (Chapter 3, Theorems 1, 3, 5)."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.records import FLOAT, INT, STR, DelimitedFormat, binary_format
+from repro.heaps.run_heap import TaggedRecord, TopRunHeap
+from repro.runs.base import RunGeneratorStats, log_cost
 from repro.runs.replacement_selection import ReplacementSelection
 from repro.workloads.generators import (
+    DISTRIBUTIONS,
+    make_input,
     alternating_input,
     random_input,
     reverse_sorted_input,
@@ -114,3 +120,75 @@ def test_rs_all_runs_at_least_memory_except_last(data, memory):
     runs = runs_of(memory, data)
     for run in runs[:-1]:
         assert len(run) >= memory
+
+
+# ---------------------------------------------------------------------------
+# Differential: the heapq loop against the TopRunHeap reference
+# ---------------------------------------------------------------------------
+
+
+def reference_rs(memory, records):
+    """Algorithm 1 on the explicit :class:`TopRunHeap` of TaggedRecords."""
+    stats = RunGeneratorStats()
+    stream = iter(records)
+    heap = TopRunHeap(capacity=memory)
+    for value in stream:
+        stats.records_in += 1
+        stats.cpu_ops += log_cost(len(heap) + 1)
+        heap.push(TaggedRecord(0, value))
+        if heap.is_full:
+            break
+    runs, out, current_run = [], [], 0
+    while heap:
+        top = heap.peek()
+        if top.run != current_run:
+            runs.append(out)
+            out, current_run = [], top.run
+        out.append(top.key)
+        stats.cpu_ops += log_cost(len(heap))
+        try:
+            value = next(stream)
+        except StopIteration:
+            heap.pop()
+            continue
+        stats.records_in += 1
+        run = current_run + 1 if value < top.key else current_run
+        heap.replace(TaggedRecord(run, value))
+    if out:
+        runs.append(out)
+    return runs, stats.cpu_ops, stats.records_in
+
+
+def heapq_rs(memory, records):
+    algo = ReplacementSelection(memory)
+    runs = list(algo.generate_runs(records))
+    return runs, algo.stats.cpu_ops, algo.stats.records_in
+
+
+class TestHeapqMatchesTopRunHeap:
+    """Run-for-run identical output, ``cpu_ops`` and ``records_in``."""
+
+    @pytest.mark.parametrize("dataset", sorted(DISTRIBUTIONS))
+    @pytest.mark.parametrize("memory", [1, 7, 64])
+    def test_every_distribution(self, dataset, memory):
+        data = list(make_input(dataset, 1_500, seed=4))
+        assert heapq_rs(memory, data) == reference_rs(memory, data)
+
+    @pytest.mark.parametrize(
+        "fmt, line",
+        [(STR, "{0}{1},{2}"), (DelimitedFormat(key_column=1), "{0},{2}"),
+         (FLOAT, "{0}{1}"), (binary_format(INT), "{0}"),
+         (binary_format(STR), "{0}{1},{2}"), (binary_format(FLOAT), "{0}{1}")],
+        ids=["str", "delimited", "float", "binary-int", "binary-str",
+             "binary-float"],
+    )
+    def test_record_shapes(self, fmt, line):
+        rng = random.Random(6)
+        lines = [line.format(rng.randrange(60), rng.choice(["", ".0", "e0"]),
+                             rng.randrange(9)) + "\n" for _ in range(600)]
+        records = fmt.decode_block(lines)
+        got, want = heapq_rs(25, records), reference_rs(25, records)
+        assert got == want
+        assert sorted(map(repr, itertools.chain(*got[0]))) == sorted(
+            map(repr, itertools.chain(*want[0]))
+        )

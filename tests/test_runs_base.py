@@ -1,5 +1,7 @@
 """Tests for the run-generator base API and analytic cost accounting."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +21,17 @@ class TestLogCost:
     def test_rounds_up(self):
         assert log_cost(3) == 2
         assert log_cost(1025) == 11
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [(2**49, 49), (2**49 + 1, 50), (2**53, 53), (2**53 + 1, 54)],
+    )
+    def test_exact_beyond_float_precision(self, n, expected):
+        assert log_cost(n) == expected
+
+    @given(st.integers(2, 2_000_000))
+    def test_matches_ceil_log2_in_recorded_range(self, n):
+        assert log_cost(n) == math.ceil(math.log2(n))
 
     @given(st.integers(1, 10**9))
     def test_monotone(self, n):

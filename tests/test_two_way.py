@@ -1,16 +1,29 @@
 """Tests for two-way replacement selection (Chapter 4, Theorems 2, 4, 6, 7)."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import two_way
 from repro.core.config import TABLE_5_13_CONFIGS, TwoWayConfig
 from repro.core.heuristics import INPUT_HEURISTICS, OUTPUT_HEURISTICS
+from repro.core.records import (
+    FLOAT,
+    INT,
+    STR,
+    DelimitedFormat,
+    FloatRecord,
+    binary_format,
+)
 from repro.core.two_way import TwoWayReplacementSelection
+from repro.heaps.double_heap import DoubleHeap, HeapqDoubleHeap
+from repro.heaps.run_heap import TaggedRecord, bottom_before, top_before
 from repro.runs.replacement_selection import ReplacementSelection
 from repro.workloads.generators import (
+    DISTRIBUTIONS,
     alternating_input,
     make_input,
     mixed_balanced_input,
@@ -322,3 +335,162 @@ class TestLazyStatistics:
         assert flat == sorted(data)
         for run in runs:
             assert run == sorted(run)
+
+
+# ---------------------------------------------------------------------------
+# Differential: the heapq kernel against the Figure 4.3 DoubleHeap oracle
+# ---------------------------------------------------------------------------
+
+
+class OracleHeaps:
+    """Drives the shared-array :class:`DoubleHeap` through the interface
+    of :class:`HeapqDoubleHeap`, so 2WRS can run on either."""
+
+    def __init__(self, capacity):
+        self._heaps = DoubleHeap(capacity, bottom_before, top_before)
+        self.top = self._heaps.top
+        self.bottom = self._heaps.bottom
+
+    def __len__(self):
+        return len(self._heaps)
+
+    @property
+    def is_full(self):
+        return self._heaps.is_full
+
+    def push_top(self, run, key):
+        self.top.push(TaggedRecord(run, key))
+
+    def push_bottom(self, run, key):
+        self.bottom.push(TaggedRecord(run, key))
+
+    def pop_top(self):
+        record = self.top.pop()
+        return record.run, record.key
+
+    def pop_bottom(self):
+        record = self.bottom.pop()
+        return record.run, record.key
+
+    def peek_top(self):
+        return (self.top.peek().run, self.top.peek().key) if self.top else None
+
+    def peek_bottom(self):
+        if not self.bottom:
+            return None
+        return self.bottom.peek().run, self.bottom.peek().key
+
+
+def generate(memory, records, config, monkeypatch=None):
+    """Runs, cpu_ops and records_in of one 2WRS generation.
+
+    With ``monkeypatch`` the generation runs on :class:`OracleHeaps`.
+    """
+    if monkeypatch is not None:
+        monkeypatch.setattr(two_way, "HeapqDoubleHeap", OracleHeaps)
+    try:
+        algo = TwoWayReplacementSelection(memory, config)
+        runs = list(algo.generate_runs(records))
+    finally:
+        if monkeypatch is not None:
+            monkeypatch.undo()
+    return runs, algo.stats.cpu_ops, algo.stats.records_in
+
+
+def assert_matches_oracle(monkeypatch, memory, records, config):
+    kernel = generate(memory, records, config)
+    oracle = generate(memory, records, config, monkeypatch)
+    assert kernel[1:] == oracle[1:]
+    assert kernel[0] == oracle[0]
+    # Equal runs may still hold equal-but-distinct records in another
+    # order; the records themselves (types, float spellings) must agree.
+    assert sorted(map(repr, itertools.chain(*kernel[0]))) == sorted(
+        map(repr, itertools.chain(*oracle[0]))
+    )
+
+
+HEURISTIC_PAIRS = list(itertools.product(INPUT_HEURISTICS, OUTPUT_HEURISTICS))
+
+
+class TestKernelMatchesDoubleHeapOracle:
+    """Run-for-run identical output, ``cpu_ops`` and ``records_in``."""
+
+    @pytest.mark.parametrize("setup", ["both", "input", "victim"])
+    @pytest.mark.parametrize("dataset", sorted(DISTRIBUTIONS))
+    def test_every_distribution_and_heuristic_pair(
+        self, monkeypatch, dataset, setup
+    ):
+        """The paper's 30 heuristic pairs plus the §7.1 adaptive input."""
+        data = list(make_input(dataset, 240, seed=11))
+        for input_h, output_h in HEURISTIC_PAIRS:
+            config = TwoWayConfig(
+                buffer_setup=setup,
+                buffer_fraction=0.2,
+                input_heuristic=input_h,
+                output_heuristic=output_h,
+                seed=3,
+            )
+            assert_matches_oracle(monkeypatch, 30, data, config)
+
+    @staticmethod
+    def _lines(n, seed):
+        rng = random.Random(seed)
+        return [
+            f"{rng.choice('abcxyz')}{rng.randrange(50)},{rng.randrange(9)}\n"
+            for _ in range(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "fmt",
+        [STR, DelimitedFormat(key_column=1), binary_format(INT),
+         binary_format(STR), binary_format(DelimitedFormat(key_column=0))],
+        ids=["str", "delimited", "binary-int", "binary-str", "binary-delimited"],
+    )
+    @pytest.mark.parametrize("input_h", sorted(INPUT_HEURISTICS))
+    def test_non_numeric_records(self, monkeypatch, fmt, input_h):
+        lines = self._lines(400, seed=5)
+        if fmt is not STR and "int" in fmt.name:
+            lines = [line.split(",")[1] for line in lines]
+        records = fmt.decode_block(lines)
+        config = TwoWayConfig(
+            buffer_setup="input", input_heuristic=input_h, seed=2
+        )
+        assert_matches_oracle(monkeypatch, 40, records, config)
+
+    @pytest.mark.parametrize("fmt", [FLOAT, binary_format(FLOAT)],
+                             ids=["float", "binary-float"])
+    def test_float_spellings(self, monkeypatch, fmt):
+        rng = random.Random(8)
+        lines = [
+            rng.choice(["{}", "{}.0", "{}e0", "-{}.00"]).format(rng.randrange(40))
+            + "\n"
+            for _ in range(500)
+        ]
+        records = fmt.decode_block(lines)
+        for setup in ("both", "input", "victim"):
+            config = TwoWayConfig(buffer_setup=setup, buffer_fraction=0.1, seed=4)
+            assert_matches_oracle(monkeypatch, 40, records, config)
+
+    def test_int_stream_then_one_non_int_key(self, monkeypatch):
+        """One FloatRecord after ints moves the BottomHeap from negated
+        keys to the wrapper form mid-run; the output must not notice."""
+        switches = []
+
+        class CountingHeaps(HeapqDoubleHeap):
+            __slots__ = ()
+
+            def _wrap_bottom(self):
+                switches.append(len(self.bottom))
+                super()._wrap_bottom()
+
+        # Reverse-sorted ints fill the BottomHeap; the trailing small
+        # key joins that decreasing stream.
+        records = list(range(300, 0, -1)) + [FloatRecord(0.5, "5e-1")]
+        config = TwoWayConfig(seed=1)
+        monkeypatch.setattr(two_way, "HeapqDoubleHeap", CountingHeaps)
+        kernel = generate(30, records, config)
+        monkeypatch.undo()
+        assert switches and switches[0] > 0
+        assert kernel == generate(30, records, config, monkeypatch)
+        tail = kernel[0][0][0]
+        assert type(tail) is FloatRecord and tail.text == "5e-1"
